@@ -10,6 +10,8 @@ from libc.stdint cimport int64_t
 
 import numpy as np
 
+from ._simplex_py import DEGENERATE_STREAK
+
 KERNEL_NAME = "compiled"
 
 OPTIMAL, UNBOUNDED, ITERATION_LIMIT = 0, 1, 2
@@ -21,22 +23,28 @@ def run_simplex(
     Py_ssize_t n_eligible,
     double tol,
     Py_ssize_t max_iter,
-) -> int:
+):
     """See ``_simplex_py.run_simplex``; this is the compiled lane."""
     cdef Py_ssize_t m = tab.shape[0] - 1
     cdef Py_ssize_t n = tab.shape[1] - 1
-    cdef Py_ssize_t it, i, j, c, r
+    cdef Py_ssize_t streak_limit = DEGENERATE_STREAK
+    cdef Py_ssize_t it, i, j, c, r, streak = 0
     cdef int64_t best_label
-    cdef double a, ratio, best, piv, f, t
+    cdef double a, ratio, best, piv, f, t, cost
 
     for it in range(max_iter):
+        # Dantzig entering rule (most negative reduced cost, lowest index
+        # on ties); Bland's (lowest index) after a degenerate streak.
         c = -1
+        cost = 0.0
         for j in range(n_eligible):
-            if tab[m, j] < -tol:
+            if tab[m, j] < -tol and (c < 0 or tab[m, j] < cost):
                 c = j
-                break
+                cost = tab[m, j]
+                if streak >= streak_limit:
+                    break
         if c < 0:
-            return OPTIMAL
+            return OPTIMAL, it
 
         r = -1
         best = 0.0
@@ -50,7 +58,11 @@ def run_simplex(
                     best = ratio
                     best_label = basis[i]
         if r < 0:
-            return UNBOUNDED
+            return UNBOUNDED, it
+        if best <= tol:
+            streak += 1
+        else:
+            streak = 0
 
         piv = tab[r, c]
         for j in range(n + 1):
@@ -64,4 +76,4 @@ def run_simplex(
                     t = f * tab[r, j]
                     tab[i, j] = tab[i, j] - t
         basis[r] = c
-    return ITERATION_LIMIT
+    return ITERATION_LIMIT, max_iter

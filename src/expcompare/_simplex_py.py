@@ -19,6 +19,11 @@ KERNEL_NAME = "pure-python"
 #: Return codes of :func:`run_simplex`.
 OPTIMAL, UNBOUNDED, ITERATION_LIMIT = 0, 1, 2
 
+#: Consecutive degenerate pivots (minimum ratio ``<= tol``) after which
+#: the entering rule falls back from Dantzig's to Bland's until the next
+#: non-degenerate pivot.
+DEGENERATE_STREAK = 50
+
 
 def run_simplex(
     tab: np.ndarray,
@@ -26,30 +31,39 @@ def run_simplex(
     n_eligible: int,
     tol: float,
     max_iter: int,
-) -> int:
-    """Pivot ``tab`` to optimality with Bland's anti-cycling rule.
+) -> tuple[int, int]:
+    """Pivot ``tab`` to optimality; return ``(code, pivots)``.
 
     ``tab`` is an ``(m+1) x (n+1)`` dense tableau: ``m`` constraint rows,
     one reduced-cost row at the bottom, and the right-hand side in the
     last column.  ``basis`` holds the basic variable of each constraint
     row.  Only columns ``< n_eligible`` may enter the basis (this is how
     phase two excludes artificial columns).
+
+    The entering column is the most negative reduced cost, lowest index
+    on ties (Dantzig's rule).  After ``DEGENERATE_STREAK`` degenerate
+    pivots in a row it is the lowest-index negative reduced cost
+    (Bland's rule) until a pivot makes progress, so the loop cannot
+    cycle.  The leaving row is always Bland's.
     """
     m = tab.shape[0] - 1
     n = tab.shape[1] - 1
     rhs = tab[:m, n]
-    for _ in range(max_iter):
-        # Bland entering rule: lowest-index eligible column with a
-        # negative reduced cost.
-        neg = np.flatnonzero(tab[m, :n_eligible] < -tol)
+    streak = 0
+    for it in range(max_iter):
+        costs = tab[m, :n_eligible]
+        neg = np.flatnonzero(costs < -tol)
         if neg.size == 0:
-            return OPTIMAL
-        c = int(neg[0])
+            return OPTIMAL, it
+        if streak < DEGENERATE_STREAK:
+            c = int(neg[np.argmin(costs[neg])])
+        else:
+            c = int(neg[0])
 
         col = tab[:m, c]
         positive = col > tol
         if not positive.any():
-            return UNBOUNDED
+            return UNBOUNDED, it
         ratios = np.full(m, np.inf)
         ratios[positive] = rhs[positive] / col[positive]
         best = ratios.min()
@@ -57,10 +71,11 @@ def run_simplex(
         # Bland leaving rule: among minimal ratios, the row whose basic
         # variable has the smallest index.
         r = int(ties[np.argmin(basis[ties])])
+        streak = streak + 1 if best <= tol else 0
 
         tab[r, :] /= tab[r, c]
         factors = tab[:, c].copy()
         factors[r] = 0.0
         tab -= np.outer(factors, tab[r, :])
         basis[r] = c
-    return ITERATION_LIMIT
+    return ITERATION_LIMIT, max_iter

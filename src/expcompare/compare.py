@@ -54,49 +54,37 @@ def _check_same_source(e: Transition, e2: Transition) -> None:
 def directed_deficiency(e: Transition, e2: Transition, pi: Distribution) -> DeficiencyResult:
     """Smallest prior-averaged variational gap ``V(f.e(theta), e2(theta))``.
 
-    Solved as an LP in the post-processing ``F`` and per-entry absolute
-    bounds ``M``; the optimum of ``sum(M)`` is the prior-weighted ``l1``
-    gap, reported halved to match the ``V = 0.5 * l1`` convention.  Zero
-    (up to tolerance) exactly when ``e`` divides ``e2``.
+    Solved as an LP in the post-processing ``F`` and, per entry ``(i, j)``
+    of ``e2``, a positive and a negative deviation ``P_ij, Q_ij >= 0``
+    with one equality ``pi_j ([F E]_ij - E2_ij) = P_ij - Q_ij``.  The
+    optimum of ``sum(P + Q)`` is the prior-weighted ``l1`` gap, reported
+    halved to match the ``V = 0.5 * l1`` convention.  Zero (up to
+    tolerance) exactly when ``e`` divides ``e2``.  The ``Q`` columns are
+    unit columns with nonnegative right-hand sides, so they form the
+    starting basis of their rows and only the ``|Z|`` column-sum rows of
+    ``F`` need artificial columns.
     """
     _check_same_source(e, e2)
     if pi.space != e.source:
         raise ShapeError("prior space does not match experiment source")
     e_mat, e2_mat, pw = e.matrix, e2.matrix, pi.weights
-    n_t = len(e.source)
     n_o = len(e.target)
     n_o2 = len(e2.target)
-    n_m = n_o2 * n_t
+    n_m = n_o2 * len(e.source)
     n_f = n_o2 * n_o
-    n_vars = n_m + n_f
 
-    # rows: for each (i, j) both signs of  pi_j * ([F E]_ij - E2_ij) <= M_ij
-    a_ub = np.zeros((2 * n_m, n_vars))
-    b_ub = np.zeros(2 * n_m)
-    r = 0
-    for i in range(n_o2):
-        for j in range(n_t):
-            m_col = i * n_t + j
-            coeffs = pw[j] * e_mat[:, j]  # over k in the observation set of e
-            f_cols = n_m + i * n_o + np.arange(n_o)
-            a_ub[r, f_cols] = coeffs
-            a_ub[r, m_col] = -1.0
-            b_ub[r] = pw[j] * e2_mat[i, j]
-            a_ub[r + 1, f_cols] = -coeffs
-            a_ub[r + 1, m_col] = -1.0
-            b_ub[r + 1] = -pw[j] * e2_mat[i, j]
-            r += 2
-    a_eq = np.zeros((n_o, n_vars))
-    for k in range(n_o):
-        a_eq[k, n_m + k + n_o * np.arange(n_o2)] = 1.0
-    c = np.concatenate([np.ones(n_m), np.zeros(n_f)])
-    res = lp.solve(
-        lp.LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.ones(n_o))
-    )
+    # columns [P, Q, F]; row i * |T| + j is the entry (i, j) of e2, then
+    # one row per observation k of e: sum_i F[i, k] = 1
+    eye = np.eye(n_m)
+    a_gap = np.hstack([-eye, eye, np.kron(np.eye(n_o2), (e_mat * pw).T)])
+    a_sum = np.hstack([np.zeros((n_o, 2 * n_m)), np.tile(np.eye(n_o), n_o2)])
+    b_eq = np.concatenate([(e2_mat * pw).ravel(), np.ones(n_o)])
+    c = np.concatenate([np.ones(2 * n_m), np.zeros(n_f)])
+    res = lp.solve(lp.LinearProgram(c, a_eq=np.vstack([a_gap, a_sum]), b_eq=b_eq))
     if not res.is_optimal:
         raise SolverError(f"deficiency program did not solve: {res.status}")
     witness = Transition(
-        e.target, e2.target, res.primal[n_m:].reshape(n_o2, n_o)
+        e.target, e2.target, res.primal[2 * n_m:].reshape(n_o2, n_o)
     )
     return DeficiencyResult(0.5 * float(res.value), witness, res.status)
 

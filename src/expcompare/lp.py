@@ -2,10 +2,17 @@
 
 Programs are minimizations ``c @ x`` subject to ``a_eq @ x == b_eq``,
 ``a_ub @ x <= b_ub`` and ``x >= 0`` except where a variable is flagged
-free.  The solver is a dense two-phase simplex with Bland's anti-cycling
-rule (pivot tolerance ``PIVOT_TOL``, feasibility tolerance ``FEAS_TOL``),
-so a given program always takes the same pivot path: re-solving an
-identical program yields a bit-for-bit identical result.
+free.  The solver is a dense two-phase simplex (pivot tolerance
+``PIVOT_TOL``, feasibility tolerance ``FEAS_TOL``).  The entering column
+is the most negative reduced cost (Dantzig's rule); after a streak of
+degenerate pivots it falls back to Bland's rule until a pivot makes
+progress, so it cannot cycle.  The leaving row is always Bland's.  Phase
+one starts from a crash basis: every column that is a unit vector, once
+rows are signed to nonnegative right-hand sides, starts basic in its row,
+and only the rows left over get artificial columns.  Every rule breaks
+ties by index, so a given program always takes the same pivot path:
+re-solving an identical program yields a bit-for-bit identical result.
+``LPResult.pivots`` reports the pivots of each phase.
 
 The pivot loop is the hot kernel of the whole toolkit and exists in two
 lanes: a compiled extension (``_simplex_cy``) and a pure numpy fallback
@@ -148,7 +155,9 @@ class LPResult:
 
     ``value``, ``primal`` and the dual vectors are ``None`` unless the
     status is optimal.  ``dual_eq`` / ``dual_ub`` follow the constraint
-    order of the program.
+    order of the program.  ``pivots`` counts the pivots of phase one
+    (including those that drive leftover artificials out of the basis)
+    and of phase two; they depend only on the program, not the machine.
     """
 
     status: str
@@ -156,6 +165,7 @@ class LPResult:
     primal: np.ndarray | None = None
     dual_eq: np.ndarray | None = None
     dual_ub: np.ndarray | None = None
+    pivots: tuple[int, int] = (0, 0)
 
     @property
     def is_optimal(self) -> bool:
@@ -164,7 +174,13 @@ class LPResult:
 
 class _StandardForm:
     """Equality standard form with slacks, split free variables and
-    artificial columns arranged after all structural columns."""
+    artificial columns arranged after all structural columns.
+
+    Rows are signed so that every right-hand side is nonnegative.  Then
+    any column that is a unit vector (a single ``+1``) starts basic in
+    its row, the lowest index winning; only rows left without one get an
+    artificial column.
+    """
 
     def __init__(self, p: LinearProgram):
         n = p.n_vars
@@ -188,23 +204,22 @@ class _StandardForm:
         sign = np.where(b < 0.0, -1.0, 1.0)
         rows *= sign[:, None]
         b = b * sign
-        # artificial columns for equality rows and for negated <= rows
-        needs_art = np.ones(m, dtype=bool)
-        basis = np.empty(m, dtype=np.int64)
+        # crash basis: unit columns, lowest index first, one per row
+        nonzero = rows != 0.0
+        unit = (nonzero.sum(axis=0) == 1) & (rows.sum(axis=0) == 1.0)
+        basis = np.full(m, -1, dtype=np.int64)
+        for j in np.flatnonzero(unit):
+            i = int(np.argmax(nonzero[:, j]))
+            if basis[i] < 0:
+                basis[i] = j
+        # artificial columns for the remaining rows
+        needs_art = basis < 0
         n_struct = self.n_ext + n_ub
-        art_of_row = {}
-        k = 0
-        for i in range(m):
-            if i >= n_eq and sign[i] > 0:
-                basis[i] = self.n_ext + (i - n_eq)  # slack starts basic
-                needs_art[i] = False
-            else:
-                art_of_row[i] = n_struct + k
-                basis[i] = n_struct + k
-                k += 1
+        art_rows = np.flatnonzero(needs_art)
+        k = art_rows.size
+        basis[art_rows] = n_struct + np.arange(k)
         art = np.zeros((m, k))
-        for i, j in art_of_row.items():
-            art[i, j - n_struct] = 1.0
+        art[art_rows, np.arange(k)] = 1.0
         self.a_std = np.hstack([rows, art])
         self.b_std = b
         self.sign = sign
@@ -225,7 +240,21 @@ def _pivot(tab: np.ndarray, r: int, c: int) -> None:
     tab -= np.outer(factors, tab[r, :])
 
 
-def _run_phase1(sf: _StandardForm) -> tuple[np.ndarray, np.ndarray, float]:
+def _run_kernel(
+    phase: str, tab: np.ndarray, basis: np.ndarray, n_eligible: int
+) -> tuple[int, int]:
+    """One phase of the pivot loop; the iteration limit raises ``SolverError``."""
+    m, n = tab.shape[0] - 1, tab.shape[1] - 1
+    code, pivots = _kernel.run_simplex(tab, basis, n_eligible, PIVOT_TOL, _max_iter(m, n))
+    if code == _simplex_py.ITERATION_LIMIT:
+        raise SolverError(
+            f"phase {phase} exceeded the pivot iteration limit "
+            f"({pivots} pivots on a {tab.shape[0]}x{tab.shape[1]} tableau)"
+        )
+    return code, pivots
+
+
+def _run_phase1(sf: _StandardForm) -> tuple[np.ndarray, np.ndarray, float, int]:
     m, n_total = sf.m, sf.n_total
     tab = np.zeros((m + 1, n_total + 1))
     tab[:m, :n_total] = sf.a_std
@@ -237,12 +266,13 @@ def _run_phase1(sf: _StandardForm) -> tuple[np.ndarray, np.ndarray, float]:
     for i in np.flatnonzero(sf.artificial_rows):
         obj -= tab[i, :]
     tab[m, :] = obj
-    code = _kernel.run_simplex(tab, basis, n_total, PIVOT_TOL, _max_iter(m, n_total))
-    if code == _simplex_py.ITERATION_LIMIT:
-        raise SolverError("phase one exceeded the pivot iteration limit")
+    code, pivots = _run_kernel("one", tab, basis, n_total)
     if code == _simplex_py.UNBOUNDED:
-        raise SolverError("phase one reported an unbounded objective")
-    return tab, basis, float(-tab[m, n_total])
+        raise SolverError(
+            f"phase one reported an unbounded objective "
+            f"({pivots} pivots on a {m + 1}x{n_total + 1} tableau)"
+        )
+    return tab, basis, float(-tab[m, n_total]), pivots
 
 
 def _max_iter(m: int, n: int) -> int:
@@ -252,7 +282,7 @@ def _max_iter(m: int, n: int) -> int:
 def feasible(p: LinearProgram) -> bool:
     """Whether the program has any feasible point (phase one only)."""
     sf = _StandardForm(p)
-    _, _, infeas = _run_phase1(sf)
+    _, _, infeas, _ = _run_phase1(sf)
     return infeas <= FEAS_TOL
 
 
@@ -260,9 +290,9 @@ def solve(p: LinearProgram) -> LPResult:
     """Solve the program; status is optimal, infeasible or unbounded."""
     sf = _StandardForm(p)
     m, n_total, n_struct = sf.m, sf.n_total, sf.n_struct
-    tab, basis, infeas = _run_phase1(sf)
+    tab, basis, infeas, pivots1 = _run_phase1(sf)
     if infeas > FEAS_TOL:
-        return LPResult(status=INFEASIBLE)
+        return LPResult(status=INFEASIBLE, pivots=(pivots1, 0))
 
     # Drive leftover artificials out of the basis where possible; rows with
     # no eligible pivot are redundant and keep a zero-level artificial.
@@ -273,6 +303,7 @@ def solve(p: LinearProgram) -> LPResult:
             if cands.size:
                 _pivot(tab, i, int(cands[0]))
                 basis[i] = int(cands[0])
+                pivots1 += 1
 
     # Phase two: restore the real objective, keep artificials ineligible.
     obj = np.zeros(n_total + 1)
@@ -282,11 +313,10 @@ def solve(p: LinearProgram) -> LPResult:
         if cb != 0.0:
             obj = obj - cb * tab[i, :]
     tab[m, :] = obj
-    code = _kernel.run_simplex(tab, basis, n_struct, PIVOT_TOL, _max_iter(m, n_total))
-    if code == _simplex_py.ITERATION_LIMIT:
-        raise SolverError("phase two exceeded the pivot iteration limit")
+    code, pivots2 = _run_kernel("two", tab, basis, n_struct)
+    pivots = (pivots1, pivots2)
     if code == _simplex_py.UNBOUNDED:
-        return LPResult(status=UNBOUNDED)
+        return LPResult(status=UNBOUNDED, pivots=pivots)
 
     x_std = np.zeros(n_total)
     x_std[basis] = tab[:m, n_total]
@@ -309,4 +339,5 @@ def solve(p: LinearProgram) -> LPResult:
         primal=primal,
         dual_eq=y[: sf.n_eq],
         dual_ub=y[sf.n_eq :],
+        pivots=pivots,
     )

@@ -66,3 +66,27 @@ def grid_oracle_2x2(e, e2, pi, step=0.01):
         a_j = f1 * e.matrix[0, j] + f2 * e.matrix[1, j]
         total += pi.weights[j] * np.abs(a_j - e2.matrix[0, j])
     return float(total.min())
+
+
+def highs_directed_deficiency(e, e2, pw):
+    """Oracle: the directed deficiency by scipy's HiGHS on the textbook LP.
+
+    Variables are per-entry bounds ``M`` and the post-processing ``F``
+    (row-major over ``e2``'s observations); each entry contributes the
+    two rows ``+-pi_j ([F E]_ij - E2_ij) <= M_ij``.  Needs scipy.
+    """
+    from scipy.optimize import linprog
+
+    n_o2, n_t = e2.shape
+    n_o = e.shape[0]
+    n_m, n_f = n_o2 * n_t, n_o2 * n_o
+    gap = np.hstack([np.zeros((n_m, n_m)), np.kron(np.eye(n_o2), (e * pw).T)])
+    target = (e2 * pw).ravel()
+    a_ub = np.vstack([gap, -gap])
+    a_ub[:, :n_m] = -np.vstack([np.eye(n_m), np.eye(n_m)])
+    a_eq = np.hstack([np.zeros((n_o, n_m)), np.tile(np.eye(n_o), n_o2)])
+    c = np.concatenate([np.ones(n_m), np.zeros(n_f)])
+    res = linprog(c, A_ub=a_ub, b_ub=np.concatenate([target, -target]),
+                  A_eq=a_eq, b_eq=np.ones(n_o), bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return 0.5 * res.fun

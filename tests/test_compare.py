@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import grid_oracle_2x2, random_experiment
+from helpers import grid_oracle_2x2, highs_directed_deficiency, random_experiment
 
 from expcompare import (
     ArgumentError,
@@ -24,6 +24,7 @@ from expcompare import (
     uniform,
     zero_one_loss,
 )
+from expcompare import lp
 from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 
 THETA = LabeledSet(("-1", "1"))
@@ -257,3 +258,45 @@ class TestSufficient:
 
     def test_terminal_is_not_sufficient_for_informative_experiments(self):
         assert not is_sufficient(BSC01, terminal(THETA), UNIF)
+
+
+#: Seed, size and pivot bound of the large deficiency regression case:
+#: |T| = |Z| = |W| = 20 takes 71 + 2184 pivots.
+LARGE_SEED, LARGE_SIZE, LARGE_PIVOT_BOUND = 20, 20, 3000
+
+
+@pytest.fixture(scope="module")
+def large_deficiency():
+    """One size-20 directed deficiency with the pivots of its LP."""
+    rng = np.random.default_rng(LARGE_SEED)
+    theta = labeled("t", LARGE_SIZE)
+    e = random_markov(rng, theta, labeled("z", LARGE_SIZE))
+    e2 = random_markov(rng, theta, labeled("w", LARGE_SIZE))
+    pi = random_distribution(rng, theta)
+    results = []
+    solve = lp.solve
+
+    def recording(p):
+        results.append(solve(p))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", recording)
+        res = directed_deficiency(e, e2, pi)
+    return e, e2, pi, res, results
+
+
+class TestLargeDeficiency:
+    def test_within_pivot_bound(self, large_deficiency):
+        *_, res, results = large_deficiency
+        assert len(results) == 1 and results[0].is_optimal
+        assert sum(results[0].pivots) <= LARGE_PIVOT_BOUND
+        assert 0.0 < res.value < 1.0
+
+    def test_matches_highs(self, large_deficiency):
+        pytest.importorskip("scipy")
+        e, e2, pi, res, _ = large_deficiency
+        oracle = highs_directed_deficiency(e.matrix, e2.matrix, pi.weights)
+        assert res.value == pytest.approx(oracle, abs=1e-9)
+        gap = np.abs(res.witness.matrix @ e.matrix - e2.matrix) @ pi.weights
+        assert 0.5 * gap.sum() == pytest.approx(res.value, abs=1e-9)

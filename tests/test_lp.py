@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from expcompare import ArgumentError, LinearProgram
-from expcompare import lp
+from expcompare import ArgumentError, LinearProgram, SolverError
+from expcompare import _simplex_py, lp
 
 
 def solve(*args, **kwargs):
@@ -161,6 +161,98 @@ class TestDeterminism:
             assert np.array_equal(r1.dual_ub, r2.dual_ub)
 
 
+#: Beale (1955): Dantzig's rule with a lowest-label leaving row cycles
+#: through six degenerate bases of this program without progress.
+BEALE = LinearProgram(
+    [-0.75, 20.0, -0.5, 6.0],
+    a_ub=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+    b_ub=[0.0, 0.0, 1.0],
+)
+
+
+@pytest.fixture
+def pure_lane():
+    current = lp.active_kernel()
+    lp.use_kernel("pure-python")
+    yield
+    lp.use_kernel(current)
+
+
+class TestPivotRule:
+    def test_beale_needs_the_bland_fallback(self):
+        res = lp.solve(BEALE)
+        assert res.status == lp.OPTIMAL
+        assert res.value == pytest.approx(-1.25, abs=1e-12)
+        np.testing.assert_allclose(res.primal, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+        # a streak of degenerate pivots had to run out before progress
+        assert res.pivots[1] > _simplex_py.DEGENERATE_STREAK
+
+    def test_pure_dantzig_cycles_on_beale(self, pure_lane, monkeypatch):
+        monkeypatch.setattr(_simplex_py, "DEGENERATE_STREAK", 10**9)
+        with pytest.raises(SolverError, match="phase two exceeded"):
+            lp.solve(BEALE)
+
+    def test_iteration_limit_message(self, monkeypatch):
+        monkeypatch.setattr(lp, "_max_iter", lambda m, n: 3)
+        with pytest.raises(SolverError) as info:
+            lp.solve(BEALE)
+        assert str(info.value) == (
+            "phase two exceeded the pivot iteration limit (3 pivots on a 4x8 tableau)"
+        )
+
+    def test_pivots_per_phase(self):
+        # slack basis is feasible: no phase-one work, one entering column
+        assert solve([-1.0], a_ub=[[2.0]], b_ub=[1.0]).pivots == (0, 1)
+        # x itself is a unit column and starts basic at its optimum
+        assert solve([-1.0], a_ub=[[1.0]], b_ub=[1.0]).pivots == (0, 0)
+        # no unit column: phase one enters x1 (reduced cost -3), then
+        # phase two trades it for the cheaper x0
+        res = solve([1.0, 2.0], a_eq=[[2.0, 3.0]], b_eq=[1.0])
+        assert res.pivots == (1, 1)
+        np.testing.assert_allclose(res.primal, [0.5, 0.0], atol=1e-12)
+        infeasible = solve([0.0], a_ub=[[1.0]], b_ub=[-1.0])
+        assert infeasible.status == lp.INFEASIBLE and infeasible.pivots == (0, 0)
+
+    def test_dantzig_enters_most_negative_reduced_cost(self, pure_lane, monkeypatch):
+        p = LinearProgram([-1.0, -2.0], a_ub=[[2.0, 2.0]], b_ub=[2.0])
+        res = lp.solve(p)
+        assert res.pivots == (0, 1)
+        np.testing.assert_allclose(res.primal, [0.0, 1.0])
+        # Bland's rule alone enters x0 first and needs a second pivot
+        monkeypatch.setattr(_simplex_py, "DEGENERATE_STREAK", 0)
+        assert lp.solve(p).pivots == (0, 2)
+
+
+class TestCrashBasis:
+    def test_unit_columns_replace_artificials(self):
+        p = LinearProgram([1.0, 1.0, 1.0], a_eq=[[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]],
+                          b_eq=[1.0, 2.0])
+        sf = lp._StandardForm(p)
+        assert sf.n_total == sf.n_struct  # no artificial column
+        assert list(sf.basis0) == [0, 1]
+        assert lp.solve(p).pivots[0] == 0
+
+    def test_lowest_index_wins_and_signs_count(self):
+        # row 0 has b < 0: after negation column 1 (entry -1) is its unit
+        # column; columns 2 and 3 both fit row 1 and the lower index wins
+        p = LinearProgram([0.0, 1.0, 1.0, 1.0],
+                          a_eq=[[1.0, -1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]],
+                          b_eq=[-1.0, 2.0])
+        sf = lp._StandardForm(p)
+        assert list(sf.basis0) == [1, 2]
+        assert sf.n_total == sf.n_struct
+        res = lp.solve(p)
+        assert res.value == pytest.approx(3.0, abs=1e-12)
+
+    def test_rows_without_unit_column_get_artificials(self):
+        p = LinearProgram([1.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                          b_eq=[1.0, 0.5], a_ub=[[2.0, 1.0, 0.0]], b_ub=[-1.0])
+        sf = lp._StandardForm(p)
+        assert sf.n_total - sf.n_struct == 2  # row 0 and the negated <= row
+        assert sf.basis0[1] == 2
+        assert lp.solve(p).status == lp.INFEASIBLE
+
+
 @pytest.mark.skipif(
     "compiled" not in lp.available_kernels(), reason="compiled kernel not built"
 )
@@ -183,6 +275,7 @@ class TestKernelParity:
         for _ in range(40):
             fast, pure = self._both(_random_bounded_program(rng))
             assert fast.status == pure.status
+            assert fast.pivots == pure.pivots
             assert fast.value == pure.value
             assert np.array_equal(fast.primal, pure.primal)
             assert np.array_equal(fast.dual_ub, pure.dual_ub)

@@ -236,6 +236,17 @@ class TestAdmissibility:
         anti = Transition(THETA, THETA, [[0.0, 1.0], [1.0, 0.0]])
         assert not is_admissible(L01, BSC01, anti)
 
+    def test_bayes_rules_of_large_instances(self):
+        # |T|=8, |Z|=32, |A|=16: degenerate domination LPs that once
+        # cycled on about one instance in seven
+        rng = np.random.default_rng(31)
+        unknowns = labeled("t", 8)
+        for _ in range(4):
+            L = random_loss(rng, unknowns, 16, low=0.0)
+            e = random_markov(rng, unknowns, labeled("z", 32))
+            rule = min_bayes_risk(L, e, random_distribution(rng, unknowns)).rule
+            assert is_admissible(L, e, rule)
+
     def test_equal_profiles_are_admissible_under_no_information(self):
         # every rule on the terminal experiment with the same profile survives
         one = terminal(THETA)
@@ -268,6 +279,17 @@ class TestCompleteClass:
     def test_cap(self):
         with pytest.raises(ArgumentError):
             complete_class_check(L01, BSC01, cap=3)
+
+    def test_degenerate_243_rule_instance(self):
+        # losses in [0, 1]; the domination LP of the 152nd rule once
+        # cycled to the pivot limit
+        rng = np.random.default_rng(42)
+        unknowns = labeled("t", 3)
+        L = random_loss(rng, unknowns, 3, low=0.0)
+        e = random_markov(rng, unknowns, labeled("z", 5))
+        rep = complete_class_check(L, e)
+        assert len(rep.rules) == 243
+        assert rep.ok
 
 
 class TestSufficiencyReduction:
