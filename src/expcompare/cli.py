@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, compare, core, divergence, fileio, lp, risk
 from .core import EPS_TOL, uniform
-from .errors import ShapeError, ToolkitError
+from .errors import ArgumentError, ShapeError, ToolkitError
 
 LN2 = math.log(2.0)
 
@@ -205,6 +205,8 @@ def _cmd_sufficient(args):
 
 
 def _cmd_divergence(args):
+    if args.units == "bits" and args.kind != "kl":
+        raise ArgumentError(f"--units bits applies to --kind kl only, not {args.kind}")
     P = fileio.load_prior(args.p)
     Q = fileio.load_prior(args.q)
     if P.space != Q.space:
@@ -214,7 +216,7 @@ def _cmd_divergence(args):
     else:
         spec = divergence.PhiSpec.kl() if args.kind == "kl" else divergence.PhiSpec.chi2()
         value = divergence.phi_divergence(spec, P, Q)
-        if args.kind == "kl" and args.units == "bits":
+        if args.units == "bits":
             value = value / LN2
     return {"kind": args.kind, "units": args.units, "value": value}, 0
 
@@ -298,9 +300,11 @@ def _cmd_complete_class(args):
 # parser assembly
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("table", "machine"), default="table")
+def _add_units(p: argparse.ArgumentParser) -> None:
     p.add_argument("--units", choices=("nats", "bits"), default="nats")
+
+
+def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None, help="override decision tolerance")
 
 
@@ -335,13 +339,18 @@ def _conf_bias_variance(p):
     p.add_argument("--theta", required=True)
 
 
-def _conf_divides(p):
+def _conf_pair(p):
     p.add_argument("--from", dest="from_path", required=True)
     p.add_argument("--to", dest="to_path", required=True)
 
 
+def _conf_divides(p):
+    _conf_pair(p)
+    _add_tol(p)
+
+
 def _conf_deficiency(p):
-    _conf_divides(p)
+    _conf_pair(p)
     p.add_argument("--prior", required=True)
     p.add_argument("--directed", action="store_true", help="skip the reverse direction")
 
@@ -356,17 +365,20 @@ def _conf_sufficient(p):
         help="file layout of the post-processing matrix",
     )
     p.add_argument("--prior", required=True)
+    _add_tol(p)
 
 
 def _conf_divergence(p):
     p.add_argument("--kind", choices=("variational", "kl", "chi2"), required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
+    _add_units(p)
 
 
 def _conf_mutual_info(p):
     p.add_argument("--experiment", required=True)
     p.add_argument("--prior", required=True)
+    _add_units(p)
 
 
 def _conf_dpi_check(p):
@@ -380,7 +392,7 @@ def _conf_dpi_check(p):
 
 
 def _conf_randomization_check(p):
-    _conf_divides(p)
+    _conf_pair(p)
     p.add_argument("--prior", required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -439,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (conf, handler, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         conf(p)
-        _add_format(p)
+        p.add_argument("--format", choices=("table", "machine"), default="table")
         p.set_defaults(handler=handler, report_out=None)
 
     rp = sub.add_parser("report", help="run a subcommand and write its payload to a file")
@@ -450,7 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
         conf, handler, _ = report_handlers[name]
         p = rsub.add_parser(name)
         conf(p)
-        _add_format(p)
         p.add_argument("--out", required=True, help="output file path")
         p.set_defaults(handler=handler)
     return parser

@@ -2,87 +2,58 @@
 
 Programs are minimizations ``c @ x`` subject to ``a_eq @ x == b_eq``,
 ``a_ub @ x <= b_ub`` and ``x >= 0`` except where a variable is flagged
-free.  The solver is a dense two-phase simplex (pivot tolerance
-``PIVOT_TOL``, feasibility tolerance ``FEAS_TOL``).  The entering column
-is the most negative reduced cost (Dantzig's rule); after a streak of
-degenerate pivots it falls back to Bland's rule until a pivot makes
-progress, so it cannot cycle.  The leaving row is always Bland's.  Phase
-one starts from a crash basis: every column that is a unit vector, once
-rows are signed to nonnegative right-hand sides, starts basic in its row,
-and only the rows left over get artificial columns.  Every rule breaks
-ties by index, so a given program always takes the same pivot path:
-re-solving an identical program yields a bit-for-bit identical result.
-``LPResult.pivots`` reports the pivots of each phase.
+free.  The solver is a dense two-phase simplex on a numpy tableau (pivot
+tolerance ``PIVOT_TOL``, feasibility tolerance ``FEAS_TOL``).  The
+entering column is the most negative reduced cost (Dantzig's rule);
+after ``DEGENERATE_STREAK`` degenerate pivots in a row it falls back to
+Bland's rule until a pivot makes progress, so it cannot cycle.  The
+leaving row is always Bland's.  Phase one starts from a crash basis:
+every column that is a unit vector, once rows are signed to nonnegative
+right-hand sides, starts basic in its row, and only the rows left over
+get artificial columns.  Every rule breaks ties by index, so a given
+program always takes the same pivot path: re-solving an identical
+program yields a bit-for-bit identical result.  ``LPResult.pivots``
+reports the pivots of each phase.
 
-The pivot loop is the hot kernel of the whole toolkit and exists in two
-lanes: a compiled extension (``_simplex_cy``) and a pure numpy fallback
-(``_simplex_py``).  The compiled lane is preferred at import time; set
-the environment variable ``EXPCOMPARE_PURE=1`` (or call
-:func:`use_kernel`) to force the fallback.  Both lanes perform identical
-arithmetic; ``benchmarks/bench_lp.py`` compares their speed.
-
-Dual values are extracted from the final basis.  Sign convention for the
-minimization: duals of ``<=`` constraints are ``<= 0``, duals of equality
-constraints are free, and the dual objective ``b_eq @ dual_eq +
-b_ub @ dual_ub`` equals the primal value at optimality.
+Duals are read off the final tableau.  Every row starts with a unit
+column (a crash column or an artificial), whose reduced cost at the end
+is its cost minus the row's dual.  Sign convention for the minimization:
+duals of ``<=`` constraints are ``<= 0``, duals of equality constraints
+are free, and the dual objective ``b_eq @ dual_eq + b_ub @ dual_ub``
+equals the primal value at optimality.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, ShapeError, SolverError
-from . import _simplex_py
-
-try:  # compiled lane is optional; fall back to the numpy twin
-    from . import _simplex_cy
-except ImportError:  # pragma: no cover - depends on build environment
-    _simplex_cy = None
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
+
+#: Consecutive degenerate pivots (minimum ratio ``<= PIVOT_TOL``) after
+#: which the entering rule falls back from Dantzig's to Bland's until the
+#: next non-degenerate pivot.
+DEGENERATE_STREAK = 50
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_KERNELS = {"pure-python": _simplex_py}
-if _simplex_cy is not None:
-    _KERNELS["compiled"] = _simplex_cy
-
-if os.environ.get("EXPCOMPARE_PURE", "") not in ("", "0"):
-    _kernel = _simplex_py
-else:
-    _kernel = _KERNELS.get("compiled", _simplex_py)
-
-
-def use_kernel(name: str) -> None:
-    """Select the pivot kernel ('compiled' or 'pure-python') at runtime.
-
-    Intended for benchmarks and cross-lane tests; the default choice at
-    import time is already the fastest available lane.
-    """
-    global _kernel
-    try:
-        _kernel = _KERNELS[name]
-    except KeyError:
-        raise ArgumentError(
-            f"unknown kernel {name!r}; available: {sorted(_KERNELS)}"
-        ) from None
-
 
 def active_kernel() -> str:
-    return _kernel.KERNEL_NAME
+    """Name of the pivot loop; the numpy tableau is the only one."""
+    return "pure-python"
 
 
 def available_kernels() -> tuple[str, ...]:
-    return tuple(sorted(_KERNELS))
+    return (active_kernel(),)
 
 
-def _block(a, rows_name: str, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _block(a, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Coerce an (A, b) constraint block, allowing both to be None."""
     a_mat, b_vec = a
     if a_mat is None and b_vec is None:
@@ -116,8 +87,8 @@ class LinearProgram:
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.array(self.c, dtype=float, copy=True))
         n = c.shape[0]
-        a_ub, b_ub = _block((self.a_ub, self.b_ub), "b_ub", n, "upper-bound block")
-        a_eq, b_eq = _block((self.a_eq, self.b_eq), "b_eq", n, "equality block")
+        a_ub, b_ub = _block((self.a_ub, self.b_ub), n, "upper-bound block")
+        a_eq, b_eq = _block((self.a_eq, self.b_eq), n, "equality block")
         if self.free is None:
             free = np.zeros(n, dtype=bool)
         else:
@@ -233,25 +204,57 @@ class _StandardForm:
 
 
 def _pivot(tab: np.ndarray, r: int, c: int) -> None:
-    # Same arithmetic as the kernels' pivot step.
     tab[r, :] /= tab[r, c]
     factors = tab[:, c].copy()
     factors[r] = 0.0
     tab -= np.outer(factors, tab[r, :])
 
 
-def _run_kernel(
+def _run_simplex(
     phase: str, tab: np.ndarray, basis: np.ndarray, n_eligible: int
-) -> tuple[int, int]:
-    """One phase of the pivot loop; the iteration limit raises ``SolverError``."""
-    m, n = tab.shape[0] - 1, tab.shape[1] - 1
-    code, pivots = _kernel.run_simplex(tab, basis, n_eligible, PIVOT_TOL, _max_iter(m, n))
-    if code == _simplex_py.ITERATION_LIMIT:
-        raise SolverError(
-            f"phase {phase} exceeded the pivot iteration limit "
-            f"({pivots} pivots on a {tab.shape[0]}x{tab.shape[1]} tableau)"
-        )
-    return code, pivots
+) -> tuple[bool, int]:
+    """Pivot ``tab`` to optimality in place; return ``(bounded, pivots)``.
+
+    ``tab`` is an ``(m+1) x (n+1)`` dense tableau: ``m`` constraint rows,
+    one reduced-cost row at the bottom, and the right-hand side in the
+    last column.  ``basis`` holds the basic variable of each constraint
+    row.  Only columns ``< n_eligible`` may enter the basis (this is how
+    phase two excludes artificial columns).  Exceeding the iteration
+    limit raises ``SolverError``.
+    """
+    m = tab.shape[0] - 1
+    n = tab.shape[1] - 1
+    rhs = tab[:m, n]
+    streak = 0
+    max_iter = _max_iter(m, n)
+    for it in range(max_iter):
+        costs = tab[m, :n_eligible]
+        neg = np.flatnonzero(costs < -PIVOT_TOL)
+        if neg.size == 0:
+            return True, it
+        if streak < DEGENERATE_STREAK:
+            c = int(neg[np.argmin(costs[neg])])
+        else:
+            c = int(neg[0])
+
+        col = tab[:m, c]
+        positive = col > PIVOT_TOL
+        if not positive.any():
+            return False, it
+        ratios = np.full(m, np.inf)
+        ratios[positive] = rhs[positive] / col[positive]
+        best = ratios.min()
+        ties = np.flatnonzero(ratios == best)
+        # Bland leaving rule: among minimal ratios, the row whose basic
+        # variable has the smallest index.
+        r = int(ties[np.argmin(basis[ties])])
+        streak = streak + 1 if best <= PIVOT_TOL else 0
+        _pivot(tab, r, c)
+        basis[r] = c
+    raise SolverError(
+        f"phase {phase} exceeded the pivot iteration limit "
+        f"({max_iter} pivots on a {tab.shape[0]}x{tab.shape[1]} tableau)"
+    )
 
 
 def _run_phase1(sf: _StandardForm) -> tuple[np.ndarray, np.ndarray, float, int]:
@@ -266,8 +269,8 @@ def _run_phase1(sf: _StandardForm) -> tuple[np.ndarray, np.ndarray, float, int]:
     for i in np.flatnonzero(sf.artificial_rows):
         obj -= tab[i, :]
     tab[m, :] = obj
-    code, pivots = _run_kernel("one", tab, basis, n_total)
-    if code == _simplex_py.UNBOUNDED:
+    bounded, pivots = _run_simplex("one", tab, basis, n_total)
+    if not bounded:
         raise SolverError(
             f"phase one reported an unbounded objective "
             f"({pivots} pivots on a {m + 1}x{n_total + 1} tableau)"
@@ -313,9 +316,9 @@ def solve(p: LinearProgram) -> LPResult:
         if cb != 0.0:
             obj = obj - cb * tab[i, :]
     tab[m, :] = obj
-    code, pivots2 = _run_kernel("two", tab, basis, n_struct)
+    bounded, pivots2 = _run_simplex("two", tab, basis, n_struct)
     pivots = (pivots1, pivots2)
-    if code == _simplex_py.UNBOUNDED:
+    if not bounded:
         return LPResult(status=UNBOUNDED, pivots=pivots)
 
     x_std = np.zeros(n_total)
@@ -325,14 +328,11 @@ def solve(p: LinearProgram) -> LPResult:
         primal[sf.free_idx] -= x_std[sf.n_orig : sf.n_ext]
     value = float(p.c @ primal)
 
+    # Row i started with the unit column basis0[i]; its reduced cost is
+    # its cost minus the (signed) dual of row i.
     cost_std = np.zeros(n_total)
     cost_std[: sf.n_ext] = sf.c_ext
-    basis_cols = sf.a_std[:, basis]
-    try:
-        y = np.linalg.solve(basis_cols.T, cost_std[basis]) if m else np.zeros(0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate basis
-        raise SolverError("singular basis while extracting duals") from exc
-    y = y * sf.sign
+    y = (cost_std[sf.basis0] - tab[m, sf.basis0]) * sf.sign
     return LPResult(
         status=OPTIMAL,
         value=value,

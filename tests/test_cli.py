@@ -285,6 +285,37 @@ class TestReport:
         assert len(doc["result"]["directed"]) == 3
 
 
+class TestFlags:
+    """Each flag is accepted only by the commands that honour it."""
+
+    @pytest.mark.parametrize("argv", [
+        ("deficiency", "--from", "bsc01", "--to", "bsc03", "--prior", "uniform", "--units", "bits"),
+        ("mutual-info", "--experiment", "bsc01", "--prior", "uniform", "--tol", "1"),
+        ("report", "dpi-check", "--kind", "phi", "--out", "bsc01", "--format", "machine"),
+    ])
+    def test_unhonoured_flags_rejected(self, files, argv):
+        with pytest.raises(SystemExit) as info:
+            main([files.get(a, a) for a in argv])
+        assert info.value.code == 2
+
+    def test_divergence_bits_only_for_kl(self, files, capsys):
+        args = ("divergence", "--p", files["uniform"], "--q", files["skew"], "--format", "machine")
+        code, _, err = run(capsys, *args, "--kind", "chi2", "--units", "bits")
+        assert code == 2 and "--units bits" in err
+        nats = json.loads(run(capsys, *args, "--kind", "kl")[1])["value"]
+        bits = json.loads(run(capsys, *args, "--kind", "kl", "--units", "bits")[1])["value"]
+        assert nats / bits == pytest.approx(math.log(2.0), rel=1e-12)
+
+    def test_tol_on_predicates(self, files, capsys):
+        # a tolerance of 1 accepts what the default tolerance rejects
+        code, _, _ = run(capsys, "divides", "--from", files["bsc03"], "--to", files["bsc01"],
+                         "--tol", "1")
+        assert code == 0
+        code, _, _ = run(capsys, "sufficient", "--experiment", files["bsc01"],
+                         "--post", files["bsc03"], "--prior", "uniform", "--tol", "1")
+        assert code == 0
+
+
 class TestRoundTrip:
     def test_save_load_save_is_identical(self, files, tmp_path):
         for key in ("bsc01", "zeroone", "uniform", "id_rule"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from expcompare import ArgumentError, LinearProgram, SolverError
-from expcompare import _simplex_py, lp
+from expcompare import lp
 
 
 def solve(*args, **kwargs):
@@ -50,13 +50,17 @@ class TestExamples:
 
     def test_redundant_equality_rows(self):
         # a duplicated row leaves a zero-level artificial in the basis
-        res = solve(
+        p = LinearProgram(
             [1.0, 2.0],
             a_eq=[[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
             b_eq=[1.0, 1.0, 2.0],
         )
+        res = lp.solve(p)
         assert res.status == lp.OPTIMAL
         assert res.value == pytest.approx(1.0, abs=1e-12)
+        # rows whose artificial stays basic get a zero dual
+        _assert_kkt(p, res)
+        np.testing.assert_allclose(res.dual_eq, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_inputs_are_not_frozen(self):
         c = np.array([1.0, -1.0])
@@ -150,6 +154,37 @@ class TestDuality:
             assert np.count_nonzero(np.abs(res.primal) > 1e-12) <= n_rows
 
 
+def _assert_kkt(p, res, tol=1e-9):
+    """Strong duality, dual feasibility and complementary slackness."""
+    y_eq, y_ub = res.dual_eq, res.dual_ub
+    assert y_eq.shape == p.b_eq.shape and y_ub.shape == p.b_ub.shape
+    assert np.all(y_ub <= tol)
+    assert float(p.b_eq @ y_eq + p.b_ub @ y_ub) == pytest.approx(res.value, abs=tol)
+    reduced = p.c - p.a_eq.T @ y_eq - p.a_ub.T @ y_ub
+    assert np.all(reduced >= -tol) and np.abs(reduced * res.primal).max() <= tol
+    assert np.abs((p.b_ub - p.a_ub @ res.primal) * y_ub).max(initial=0.0) <= tol
+
+
+class TestDualsFromTableau:
+    def test_negated_rows_match_highs(self):
+        # x0 + x1 >= 2 and x0 - x1 = 1, both written with b < 0; the
+        # optimum (1.5, 0.5) is non-degenerate, so the dual is unique
+        p = LinearProgram([1.0, 3.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0],
+                          a_eq=[[-1.0, 1.0]], b_eq=[-1.0])
+        res = lp.solve(p)
+        _assert_kkt(p, res)
+        np.testing.assert_allclose([*res.dual_eq, *res.dual_ub], [1.0, -2.0], atol=1e-12)
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        ref = linprog(p.c, A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq, b_eq=p.b_eq, method="highs")
+        np.testing.assert_allclose(res.dual_eq, ref.eqlin.marginals, atol=1e-9)
+        np.testing.assert_allclose(res.dual_ub, ref.ineqlin.marginals, atol=1e-9)
+
+    def test_program_without_rows(self):
+        res = solve([1.0, 2.0])
+        assert res.value == 0.0
+        assert res.dual_eq.shape == res.dual_ub.shape == (0,)
+
+
 class TestDeterminism:
     def test_bit_for_bit_resolve(self):
         rng = np.random.default_rng(24)
@@ -170,14 +205,6 @@ BEALE = LinearProgram(
 )
 
 
-@pytest.fixture
-def pure_lane():
-    current = lp.active_kernel()
-    lp.use_kernel("pure-python")
-    yield
-    lp.use_kernel(current)
-
-
 class TestPivotRule:
     def test_beale_needs_the_bland_fallback(self):
         res = lp.solve(BEALE)
@@ -185,10 +212,10 @@ class TestPivotRule:
         assert res.value == pytest.approx(-1.25, abs=1e-12)
         np.testing.assert_allclose(res.primal, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
         # a streak of degenerate pivots had to run out before progress
-        assert res.pivots[1] > _simplex_py.DEGENERATE_STREAK
+        assert res.pivots[1] > lp.DEGENERATE_STREAK
 
-    def test_pure_dantzig_cycles_on_beale(self, pure_lane, monkeypatch):
-        monkeypatch.setattr(_simplex_py, "DEGENERATE_STREAK", 10**9)
+    def test_pure_dantzig_cycles_on_beale(self, monkeypatch):
+        monkeypatch.setattr(lp, "DEGENERATE_STREAK", 10**9)
         with pytest.raises(SolverError, match="phase two exceeded"):
             lp.solve(BEALE)
 
@@ -213,13 +240,13 @@ class TestPivotRule:
         infeasible = solve([0.0], a_ub=[[1.0]], b_ub=[-1.0])
         assert infeasible.status == lp.INFEASIBLE and infeasible.pivots == (0, 0)
 
-    def test_dantzig_enters_most_negative_reduced_cost(self, pure_lane, monkeypatch):
+    def test_dantzig_enters_most_negative_reduced_cost(self, monkeypatch):
         p = LinearProgram([-1.0, -2.0], a_ub=[[2.0, 2.0]], b_ub=[2.0])
         res = lp.solve(p)
         assert res.pivots == (0, 1)
         np.testing.assert_allclose(res.primal, [0.0, 1.0])
         # Bland's rule alone enters x0 first and needs a second pivot
-        monkeypatch.setattr(_simplex_py, "DEGENERATE_STREAK", 0)
+        monkeypatch.setattr(lp, "DEGENERATE_STREAK", 0)
         assert lp.solve(p).pivots == (0, 2)
 
 
@@ -251,43 +278,3 @@ class TestCrashBasis:
         assert sf.n_total - sf.n_struct == 2  # row 0 and the negated <= row
         assert sf.basis0[1] == 2
         assert lp.solve(p).status == lp.INFEASIBLE
-
-
-@pytest.mark.skipif(
-    "compiled" not in lp.available_kernels(), reason="compiled kernel not built"
-)
-class TestKernelParity:
-    """Both pivot lanes must agree bit-for-bit on the same programs."""
-
-    def _both(self, p):
-        results = {}
-        current = lp.active_kernel()
-        try:
-            for name in lp.available_kernels():
-                lp.use_kernel(name)
-                results[name] = lp.solve(p)
-        finally:
-            lp.use_kernel(current)
-        return results["compiled"], results["pure-python"]
-
-    def test_identical_results_on_random_programs(self):
-        rng = np.random.default_rng(25)
-        for _ in range(40):
-            fast, pure = self._both(_random_bounded_program(rng))
-            assert fast.status == pure.status
-            assert fast.pivots == pure.pivots
-            assert fast.value == pure.value
-            assert np.array_equal(fast.primal, pure.primal)
-            assert np.array_equal(fast.dual_ub, pure.dual_ub)
-
-    def test_identical_statuses_on_edge_programs(self):
-        edge = [
-            LinearProgram([-1.0]),
-            LinearProgram([0.0], a_ub=[[1.0]], b_ub=[-1.0]),
-            LinearProgram([1.0, -2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]),
-        ]
-        for p in edge:
-            fast, pure = self._both(p)
-            assert fast.status == pure.status
-            if fast.status == lp.OPTIMAL:
-                assert fast.value == pure.value
