@@ -79,18 +79,6 @@ def _resolve_prior(arg: str, space) -> core.Distribution:
     return pi
 
 
-def _experiment_payload(t: core.Transition) -> dict:
-    return fileio.experiment_to_object(t)
-
-
-def _rule_payload(d: core.Transition) -> dict:
-    return fileio.rule_to_object(d)
-
-
-def _prior_payload(pi: core.Distribution) -> dict:
-    return fileio.prior_to_object(pi)
-
-
 # ---------------------------------------------------------------------------
 # handlers: each returns (payload, exit_code)
 
@@ -132,8 +120,8 @@ def _cmd_minimax(args):
     res = risk.minimax_risk(L, e)
     return {
         "value": res.value,
-        "least_favorable_prior": _prior_payload(res.least_favorable_prior),
-        "rule": _rule_payload(res.rule),
+        "least_favorable_prior": fileio.prior_to_object(res.least_favorable_prior),
+        "rule": fileio.rule_to_object(res.rule),
     }, 0
 
 
@@ -142,7 +130,7 @@ def _cmd_reverse(args):
     pi = _resolve_prior(args.prior, e.source)
     rev = risk.reverse(e, pi, cutoff=args.cutoff)
     return {
-        "marginal": _prior_payload(rev.marginal),
+        "marginal": fileio.prior_to_object(rev.marginal),
         "posterior": {
             "outcomes": list(rev.posterior.source.labels),
             "theta": list(rev.posterior.target.labels),
@@ -173,7 +161,7 @@ def _cmd_divides(args):
     ok, witness = compare.divides(e, e2, tol=tol)
     payload = {"divides": ok}
     if witness is not None:
-        payload["witness"] = _rule_payload(witness)
+        payload["witness"] = fileio.rule_to_object(witness)
     return payload, 0 if ok else 1
 
 
@@ -187,7 +175,7 @@ def _cmd_deficiency(args):
         back = compare.directed_deficiency(e2, e, pi)
         payload["reverse_value"] = back.value
         payload["deficiency"] = max(fwd.value, back.value)
-    payload["witness"] = _rule_payload(fwd.witness)
+    payload["witness"] = fileio.rule_to_object(fwd.witness)
     return payload, 0
 
 
@@ -428,6 +416,7 @@ _COMMANDS = {
         _cmd_randomization_check,
         "risk-gap audit of the deficiency bound",
     ),
+    "metric-check": (_conf_metric_check, _cmd_metric_check, "metric audit of deficiency over a family"),
     "complete-class": (_conf_complete_class, _cmd_complete_class, "admissible rules and their priors"),
 }
 
@@ -452,14 +441,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         conf(p)
         p.add_argument("--format", choices=("table", "machine"), default="table")
-        p.set_defaults(handler=handler, report_out=None)
+        p.set_defaults(handler=handler)
 
     rp = sub.add_parser("report", help="run a subcommand and write its payload to a file")
     rsub = rp.add_subparsers(dest="report_kind", required=True)
-    report_handlers = dict(_COMMANDS)
-    report_handlers["metric-check"] = (_conf_metric_check, _cmd_metric_check, "")
     for name in _REPORTABLE:
-        conf, handler, _ = report_handlers[name]
+        conf, handler, _ = _COMMANDS[name]
         p = rsub.add_parser(name)
         conf(p)
         p.add_argument("--out", required=True, help="output file path")

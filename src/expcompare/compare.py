@@ -21,7 +21,7 @@ half the raw optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product as iter_product
+from itertools import permutations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,7 +31,7 @@ from ._samplers import random_loss
 from .core import Distribution, LabeledSet, Transition, compose, uniform
 from .errors import ArgumentError, ShapeError, SolverError
 from .loss import LossMatrix
-from .risk import ENUMERATION_CAP, min_bayes_risk
+from .risk import ENUMERATION_CAP, _rule_assignments, min_bayes_risk
 
 #: Divisibility / sufficiency threshold on deficiency values.
 DIVIDES_TOL = 1e-7
@@ -250,17 +250,6 @@ class DpiValues(NamedTuple):
     value_e2: float
 
 
-def _deterministic_rules(obs: LabeledSet, actions: LabeledSet, cap: int):
-    n_rules = len(actions) ** len(obs)
-    if n_rules > cap:
-        raise ArgumentError(f"{n_rules} deterministic rules exceed the cap {cap}")
-    for g in iter_product(range(len(actions)), repeat=len(obs)):
-        m = np.zeros((len(actions), len(obs)))
-        for z, a in enumerate(g):
-            m[a, z] = 1.0
-        yield Transition(obs, actions, m)
-
-
 def generalized_dpi(
     rho: Callable[[Transition], float],
     e: Transition,
@@ -285,11 +274,14 @@ def generalized_dpi(
         reproduced.matrix - e2.matrix
     ).max() > 1e-7:
         raise ArgumentError("witness does not reproduce the second experiment")
+    eye = np.eye(len(actions))
     value_e2 = np.inf
     value_e = np.inf
-    for d2 in _deterministic_rules(e2.target, actions, cap):
+    for g in _rule_assignments(len(e2.target), len(actions), cap):
+        d2 = Transition(e2.target, actions, eye[:, g])
         value_e2 = min(value_e2, float(rho(compose(d2, e2))))
         value_e = min(value_e, float(rho(compose(compose(d2, witness), e))))
-    for d in _deterministic_rules(e.target, actions, cap):
+    for g in _rule_assignments(len(e.target), len(actions), cap):
+        d = Transition(e.target, actions, eye[:, g])
         value_e = min(value_e, float(rho(compose(d, e))))
     return DpiValues(float(value_e), float(value_e2))

@@ -8,7 +8,8 @@ aggregates, the posterior reversal of an experiment, exact optimal rules
 (Bayes via the reversal, minimax via an LP with the least favorable
 prior read off the duals), a bias/variance split of the pointwise risk
 in canonical coordinates, and admissibility checks with supporting-prior
-extraction for the deterministic rules of a finite instance.
+extraction for the deterministic rules of a finite instance, from the
+per-observation Bayes conditions (Bayes risk separates over observations).
 """
 
 from __future__ import annotations
@@ -197,6 +198,29 @@ def min_bayes_risk(L: LossMatrix, e: Transition, pi: Distribution) -> MinBayesRe
     return MinBayesResult(float(value), Transition(e.target, L.actions, rule))
 
 
+def _rule_space(L: LossMatrix, e: Transition) -> tuple[np.ndarray, np.ndarray]:
+    """LP blocks over rule entries ``d(a|z)``, in column ``z * |A| + a``.
+
+    ``coef[t]`` is the risk at unknown ``t`` (``e[z, t] * L[t, a]`` on
+    ``d(a|z)``); ``sums[z]`` adds up the entries of observation ``z``.
+    """
+    n_t, n_z, n_a = len(L.unknowns), len(e.target), len(L.actions)
+    coef = np.einsum("zt,ta->tza", e.matrix, L.values).reshape(n_t, n_z * n_a)
+    return coef, np.kron(np.eye(n_z), np.ones(n_a))
+
+
+def _rule_assignments(n_obs: int, n_actions: int, cap: int):
+    """Every deterministic rule as one action index per observation.
+
+    Rules come in product order (the last observation varies fastest);
+    more than ``cap`` of them is an error, raised before any is made.
+    """
+    n_rules = n_actions**n_obs
+    if n_rules > cap:
+        raise ArgumentError(f"{n_rules} deterministic rules exceed the cap {cap}")
+    return iter_product(range(n_actions), repeat=n_obs)
+
+
 def minimax_risk(L: LossMatrix, e: Transition) -> MinimaxResult:
     """Rule minimizing the worst-case risk, by linear programming.
 
@@ -209,12 +233,9 @@ def minimax_risk(L: LossMatrix, e: Transition) -> MinimaxResult:
         raise ShapeError("experiment source does not match loss unknowns")
     n_t, n_z, n_a = len(L.unknowns), len(e.target), len(L.actions)
     n_d = n_z * n_a
-    # coefficient of d(a|z) in the risk at theta: e[z, theta] * L[theta, a]
-    coef = np.einsum("zt,ta->tza", e.matrix, L.values).reshape(n_t, n_d)
+    coef, sums = _rule_space(L, e)
     a_ub = np.hstack([coef, -np.ones((n_t, 1))])
-    a_eq = np.zeros((n_z, n_d + 1))
-    for z in range(n_z):
-        a_eq[z, z * n_a : (z + 1) * n_a] = 1.0
+    a_eq = np.hstack([sums, np.zeros((n_z, 1))])
     c = np.zeros(n_d + 1)
     c[n_d] = 1.0
     free = np.zeros(n_d + 1, dtype=bool)
@@ -295,11 +316,9 @@ def _best_dominating(L: LossMatrix, e: Transition, target: np.ndarray):
     """
     n_t, n_z, n_a = len(L.unknowns), len(e.target), len(L.actions)
     n_d = n_z * n_a
-    coef = np.einsum("zt,ta->tza", e.matrix, L.values).reshape(n_t, n_d)
+    coef, sums = _rule_space(L, e)
     a_ub = np.hstack([coef, np.eye(n_t)])
-    a_eq = np.zeros((n_z, n_d + n_t))
-    for z in range(n_z):
-        a_eq[z, z * n_a : (z + 1) * n_a] = 1.0
+    a_eq = np.hstack([sums, np.zeros((n_z, n_t))])
     c = np.concatenate([np.zeros(n_d), -np.ones(n_t)])
     res = lp.solve(
         lp.LinearProgram(c, a_ub=a_ub, b_ub=target, a_eq=a_eq, b_eq=np.ones(n_z))
@@ -348,35 +367,23 @@ def complete_class_check(
     """Enumerate deterministic rules and pair each admissible one with a prior.
 
     For every deterministic rule the report records its risk profile,
-    whether any rule dominates it, and a supporting prior (a prior making
-    it Bayes among deterministic rules) found by LP feasibility.  The
-    check passes when every admissible rule has a prior and every rule
-    without one is confirmed dominated.
+    whether any rule dominates it, and a supporting prior (a prior under
+    which it is Bayes, found by the per-observation LP of
+    :func:`_supporting_prior`).  The check passes when every admissible
+    rule has a prior and every rule without one is confirmed dominated.
     """
     if e.source != L.unknowns:
         raise ShapeError("experiment source does not match loss unknowns")
-    n_t, n_z, n_a = len(L.unknowns), len(e.target), len(L.actions)
-    n_rules = n_a**n_z
-    if n_rules > cap:
-        raise ArgumentError(f"{n_rules} deterministic rules exceed the cap {cap}")
-
-    assignments = list(iter_product(range(n_a), repeat=n_z))
-    profiles = np.empty((n_rules, n_t))
-    for k, g in enumerate(assignments):
-        profiles[k] = sum(e.matrix[z, :] * L.values[:, g[z]] for z in range(n_z))
-
     reports = []
-    for k, g in enumerate(assignments):
-        slack, _ = _best_dominating(L, e, profiles[k])
-        admissible = slack <= lp.FEAS_TOL
-        diffs = np.delete(profiles - profiles[k][None, :], k, axis=0)
-        prior = _supporting_prior(L.unknowns, diffs)
+    for g in _rule_assignments(len(e.target), len(L.actions), cap):
+        profile = sum(e.matrix[z, :] * L.values[:, a] for z, a in enumerate(g))
+        slack, _ = _best_dominating(L, e, profile)
         reports.append(
             RuleReport(
                 actions=tuple(L.actions.labels[a] for a in g),
-                risk=profiles[k],
-                admissible=admissible,
-                prior=prior,
+                risk=profile,
+                admissible=slack <= lp.FEAS_TOL,
+                prior=_supporting_prior(L, e, g),
                 dominated=slack > lp.FEAS_TOL,
             )
         )
@@ -391,23 +398,29 @@ def complete_class_check(
     )
 
 
-def _supporting_prior(unknowns: LabeledSet, diffs: np.ndarray) -> Distribution | None:
-    """A prior under which the rule beats all alternatives, if one exists.
+def _supporting_prior(L: LossMatrix, e: Transition, g) -> Distribution | None:
+    """A prior under which the deterministic rule ``g`` is Bayes, if one exists.
 
-    ``diffs`` holds ``profile(other) - profile(rule)`` per row; we need a
-    simplex point with ``diffs @ pi >= 0`` for every row.
+    ``g`` is Bayes for ``pi`` exactly when each ``g[z]`` is a Bayes action
+    for the weights ``pi * e[z, :]``.  So we need a simplex point with
+    ``sum_t pi_t e[z, t] (L[t, a] - L[t, g[z]]) >= 0`` for every
+    observation ``z`` and action ``a != g[z]``: ``|Z| (|A| - 1)`` rows.
     """
-    n = len(unknowns)
-    uniq = np.unique(-diffs, axis=0) if diffs.size else np.zeros((0, n))
+    n_t, n_a = L.values.shape
+    g = np.asarray(g)
+    # scores[z, a, t]: coefficient of pi_t in the Bayes score of a at z
+    scores = e.matrix[:, None, :] * L.values.T[None, :, :]
+    gains = scores - scores[np.arange(len(g)), g][:, None, :]
+    gains = gains[np.arange(n_a)[None, :] != g[:, None]]
     res = lp.solve(
         lp.LinearProgram(
-            np.zeros(n),
-            a_ub=uniq,
-            b_ub=np.zeros(uniq.shape[0]),
-            a_eq=np.ones((1, n)),
+            np.zeros(n_t),
+            a_ub=-gains,
+            b_ub=np.zeros(gains.shape[0]),
+            a_eq=np.ones((1, n_t)),
             b_eq=[1.0],
         )
     )
     if not res.is_optimal:
         return None
-    return Distribution(unknowns, res.primal)
+    return Distribution(L.unknowns, res.primal)

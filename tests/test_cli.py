@@ -284,6 +284,16 @@ class TestReport:
         assert doc["result"]["ok"] is True
         assert len(doc["result"]["directed"]) == 3
 
+    def test_metric_check_top_level_matches_report(self, files, capsys, tmp_path):
+        args = ("--experiments", files["bsc01"], files["bsc03"], "--prior", files["uniform"])
+        out_path = tmp_path / "metric.json"
+        assert run(capsys, "report", "metric-check", *args, "--out", str(out_path))[0] == 0
+        code, out, _ = run(capsys, "metric-check", *args, "--format", "machine")
+        assert code == 0
+        directed = json.loads(out)["directed"]
+        assert directed == json.loads(out_path.read_text())["result"]["directed"]
+        assert directed[0][1] < 1e-9 < directed[1][0]
+
 
 class TestFlags:
     """Each flag is accepted only by the commands that honour it."""

@@ -34,13 +34,20 @@ from expcompare import (
     uniform,
     zero_one_loss,
 )
+from expcompare import lp
 from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
+from expcompare.risk import ENUMERATION_CAP
 
 THETA = LabeledSet(("-1", "1"))
 L01 = zero_one_loss(THETA)
 BSC01 = binary_symmetric(0.1)
 ID = identity(THETA)
 UNIF = uniform(THETA)
+
+#: Seed and pivot bound of the complete-class case at the enumeration cap:
+#: 3 unknowns, 4 actions and 6 observations give 4096 rules and 8192 LPs,
+#: which take 58 261 (domination) + 13 412 (supporting prior) = 71 673 pivots.
+CAP_SEED, CAP_PIVOT_BOUND = 7, 95_000
 
 
 class TestRiskProfile:
@@ -290,6 +297,40 @@ class TestCompleteClass:
         rep = complete_class_check(L, e)
         assert len(rep.rules) == 243
         assert rep.ok
+        # a supporting prior makes the rule Bayes among all 243 rules
+        supported = [r for r in rep.rules if r.prior is not None]
+        assert supported
+        for r in supported:
+            best = brute_force_min_bayes_risk(L, e, r.prior)
+            assert r.prior.weights @ r.risk == pytest.approx(best, abs=1e-7)
+
+    def test_prior_weights_sum_to_one(self):
+        # the LP over all rule-profile differences once returned a prior
+        # summing to 1.00004, which Distribution rejected
+        rng = np.random.default_rng(227)
+        unknowns = labeled("t", 5)
+        L = random_loss(rng, unknowns, 4, low=0.0)
+        e = random_markov(rng, unknowns, labeled("z", 3))
+        assert complete_class_check(L, e).ok
+
+    def test_enumeration_cap_within_pivot_bound(self, monkeypatch):
+        rng = np.random.default_rng(CAP_SEED)
+        unknowns = labeled("t", 3)
+        L = random_loss(rng, unknowns, 4, low=0.0)
+        e = random_markov(rng, unknowns, labeled("z", 6))
+        results = []
+        solve = lp.solve
+
+        def recording(p):
+            results.append(solve(p))
+            return results[-1]
+
+        monkeypatch.setattr(lp, "solve", recording)
+        rep = complete_class_check(L, e)
+        assert len(rep.rules) == ENUMERATION_CAP
+        assert rep.ok
+        assert len(results) == 2 * ENUMERATION_CAP
+        assert sum(sum(r.pivots) for r in results) <= CAP_PIVOT_BOUND
 
 
 class TestSufficiencyReduction:
