@@ -23,7 +23,7 @@ import numpy as np
 from . import lp
 from .core import Distribution, LabeledSet, Transition, compose
 from .errors import ArgumentError, ShapeError, SolverError
-from .loss import LossMatrix, canonical_loss, is_achievable, psi, zero_sum_part
+from .loss import LossMatrix, psi, zero_sum_part
 
 #: Observations with marginal mass below this are outside the reversal support.
 SUPPORT_CUTOFF = 1e-12
@@ -291,20 +291,24 @@ def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> Bi
     heights: dict[int, float] = {}
     parts: dict[int, np.ndarray] = {}
     for a in set(sel):
-        label = L.actions.labels[a]
-        if not is_achievable(L, label):
-            raise ArgumentError(
-                f"action '{label}' is never Bayes; it has no canonical coordinate"
-            )
-        parts[a] = zero_sum_part(L.values[:, a])
+        col = L.values[:, a]
+        parts[a] = zero_sum_part(col)
         heights[a] = psi(L, parts[a])
+        # the is_achievable test, on the height solved once
+        if heights[a] < float(col.mean()) - lp.FEAS_TOL:
+            raise ArgumentError(
+                f"action '{L.actions.labels[a]}' is never Bayes; "
+                "it has no canonical coordinate"
+            )
     avg = np.zeros(len(L.unknowns))
     expected_height = 0.0
     for z, a in enumerate(sel):
         avg += weights[z] * parts[a]
         expected_height += weights[z] * heights[a]
-    bias = canonical_loss(L, theta, -avg)
-    variance = expected_height - psi(L, avg)
+    # canonical_loss(L, theta, -avg) == avg[ti] + psi(L, avg), one LP fewer
+    height = psi(L, avg)
+    bias = avg[ti] + height
+    variance = expected_height - height
     return BiasVariance(float(bias), float(variance))
 
 

@@ -4,7 +4,15 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from expcompare import LabeledSet, LossMatrix, Transition, bayes_risk, is_achievable
+from expcompare import (
+    LabeledSet,
+    LinearProgram,
+    LossMatrix,
+    Transition,
+    bayes_risk,
+    is_achievable,
+    lp,
+)
 from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 
 
@@ -29,6 +37,45 @@ def rule_from_assignment(obs: LabeledSet, actions: LabeledSet, assignment) -> Tr
     for z, a in enumerate(assignment):
         m[a, z] = 1.0
     return Transition(obs, actions, m)
+
+
+def primal_support_program(L: LossMatrix, v) -> LinearProgram:
+    """``min over the simplex of <P, v> - entropy(L, P)`` as the primal LP,
+    one row ``t <= <P, column_a>`` per action.
+
+    Variables are ``P`` and a free epigraph level ``t``.  The library
+    solves the dual, whose tableau has one row per unknown instead.
+    """
+    n, n_a = L.values.shape
+    free = np.zeros(n + 1, dtype=bool)
+    free[n] = True
+    return LinearProgram(
+        np.concatenate([np.asarray(v, dtype=float), [-1.0]]),
+        a_ub=np.hstack([-L.values.T, np.ones((n_a, 1))]),
+        b_ub=np.zeros(n_a),
+        a_eq=np.concatenate([np.ones(n), [0.0]])[None, :],
+        b_eq=[1.0],
+        free=free,
+    )
+
+
+def primal_support_gap(L: LossMatrix, v) -> float:
+    """Oracle: the support gap from the primal program, by ``lp.solve``."""
+    res = lp.solve(primal_support_program(L, v))
+    assert res.is_optimal, res.status
+    return res.value
+
+
+def highs_support_gap(L: LossMatrix, v) -> float:
+    """Oracle: the support gap from the primal program, by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    p = primal_support_program(L, v)
+    bounds = [(None, None) if f else (0, None) for f in p.free]
+    res = linprog(p.c, A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq, b_eq=p.b_eq,
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return res.fun
 
 
 def random_canonical_setup(rng, n_unknowns=2, n_obs=2, n_actions=3):

@@ -12,11 +12,19 @@ import pytest
 pytest.importorskip("scipy")
 pytest.importorskip("hypothesis")
 
-from helpers import highs_directed_deficiency
+from helpers import highs_directed_deficiency, highs_support_gap
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from expcompare import LinearProgram, Transition, directed_deficiency, lp, minimax_risk
+from expcompare import (
+    LinearProgram,
+    Transition,
+    directed_deficiency,
+    log_loss_grid,
+    lp,
+    minimax_risk,
+)
+from expcompare.loss import support_gap
 from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 
 #: linprog status codes for the three outcomes of ``lp.solve``.
@@ -129,3 +137,16 @@ def test_minimax_programs(seed, n_t, n_z, n_a):
     )
     assert ref.status == 0, ref.message
     assert res.value == pytest.approx(ref.fun, abs=VALUE_TOL)
+
+
+@differential
+@given(seeds, st.integers(2, 4), st.integers(4, 16), st.booleans())
+def test_support_gaps_on_grids(seed, n_t, resolution, zero_sum):
+    rng = np.random.default_rng(seed)
+    grid = log_loss_grid(labeled("t", n_t), resolution)
+    v = rng.uniform(-2.0, 2.0, n_t)
+    if zero_sum:
+        v -= v.mean()
+    gap, P = support_gap(grid, v)
+    assert gap == pytest.approx(highs_support_gap(grid, v), abs=VALUE_TOL)
+    assert float(P @ v - (P @ grid.values).min()) == pytest.approx(gap, abs=1e-12)

@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from helpers import highs_support_gap, primal_support_gap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +30,9 @@ from expcompare import (
     zero_one_loss,
     zero_sum_part,
 )
+from expcompare import lp
 from expcompare._samplers import labeled, random_distribution, random_loss
+from expcompare.loss import GRID_CAP, support_gap
 
 THETA = LabeledSet(("-1", "1"))
 L01 = zero_one_loss(THETA)
@@ -175,8 +179,6 @@ class TestPsi:
             psi(L01, [0.5, 0.0])
 
     def test_canonical_point_lies_on_the_boundary(self):
-        from expcompare.loss import support_gap
-
         rng = np.random.default_rng(37)
         for _ in range(20):
             L = random_loss(rng, THETA, int(rng.integers(2, 5)))
@@ -190,6 +192,68 @@ class TestPsi:
             assert float(P.weights @ lifted) == pytest.approx(
                 entropy(L, P), abs=1e-7
             )
+
+
+#: Pivots allowed for one ``psi`` on the 39,711-action grid (27-38 measured).
+GRID_PSI_PIVOT_BOUND = 200
+
+
+def _random_support_case(rng):
+    n_t, n_a = int(rng.integers(2, 6)), int(rng.integers(1, 13))
+    if rng.integers(2):  # small integers: ties and degenerate vertices
+        vals = rng.integers(-2, 3, (n_t, n_a)).astype(float)
+        v = rng.integers(-2, 3, n_t).astype(float)
+    else:
+        vals = rng.uniform(-1.0, 1.0, (n_t, n_a))
+        v = rng.uniform(-1.0, 1.0, n_t)
+    return LossMatrix(labeled("t", n_t), labeled("a", n_a), vals), v
+
+
+class TestSupportGap:
+    def test_gap_matches_the_primal_program(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            L, v = _random_support_case(rng)
+            gap, _ = support_gap(L, v)
+            assert gap == pytest.approx(primal_support_gap(L, v), abs=1e-12)
+
+    def test_minimizer_attains_the_gap(self):
+        # minimizers need not be unique, so P is checked, not compared
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            L, v = _random_support_case(rng)
+            gap, P = support_gap(L, v)
+            assert P.min() >= -1e-12
+            assert P.sum() == pytest.approx(1.0, abs=1e-12)
+            assert float(P @ v - (P @ L.values).min()) == pytest.approx(gap, abs=1e-12)
+
+    def test_psi_on_the_39711_action_grid_within_pivot_bound(self, monkeypatch):
+        grid = log_loss_grid(labeled("t", 4), 64)
+        assert len(grid.actions) == 39_711
+        results = []
+        solve = lp.solve
+
+        def recording(p):
+            results.append(solve(p))
+            return results[-1]
+
+        monkeypatch.setattr(lp, "solve", recording)
+        rng = np.random.default_rng(45)
+        coords = [zero_sum_part(rng.uniform(-1.0, 1.0, 4)), zero_sum_part(grid.values[:, 777])]
+        heights = [psi(grid, v) for v in coords]
+        assert len(results) == 2
+        assert all(sum(r.pivots) <= GRID_PSI_PIVOT_BOUND for r in results)
+        assert heights[1] == pytest.approx(float(grid.values[:, 777].mean()), abs=1e-12)
+        pytest.importorskip("scipy")
+        for v, h in zip(coords, heights):
+            assert -h == pytest.approx(highs_support_gap(grid, v), abs=1e-9)
+
+    def test_grid_cap_fails_before_enumerating(self):
+        assert math.comb(63, 3) <= GRID_CAP < math.comb(63, 5)
+        start = time.perf_counter()
+        with pytest.raises(ArgumentError, match="7028847 actions"):
+            log_loss_grid(labeled("t", 6), 64)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestCanonicalLoss:

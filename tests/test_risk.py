@@ -23,6 +23,7 @@ from expcompare import (
     from_function,
     identity,
     is_admissible,
+    log_loss_grid,
     max_risk,
     min_bayes_risk,
     minimax_risk,
@@ -232,6 +233,24 @@ class TestBiasVariance:
             pointwise = risk_profile(L, e, d)[theta]
             assert res.bias + res.variance == pytest.approx(pointwise, abs=1e-7)
             assert res.variance >= -1e-9
+
+    def test_each_height_solved_once(self, monkeypatch):
+        # four distinct selected actions: four heights plus the average's
+        grid = log_loss_grid(labeled("t", 3), 8)
+        e = random_markov(np.random.default_rng(58), grid.unknowns, labeled("z", 4))
+        d = rule_from_assignment(e.target, grid.actions, [0, 5, 11, 20])
+        calls = []
+        solve = lp.solve
+
+        def counting(p):
+            calls.append(p)
+            return solve(p)
+
+        monkeypatch.setattr(lp, "solve", counting)
+        res = bias_variance(grid, e, d, "t1")
+        assert len(calls) == 5
+        pointwise = risk_profile(grid, e, d)["t1"]
+        assert res.bias + res.variance == pytest.approx(pointwise, abs=1e-12)
 
 
 class TestAdmissibility:
