@@ -181,9 +181,9 @@ def _cmd_deficiency(args):
 
 def _cmd_sufficient(args):
     e = fileio.load_experiment(args.experiment)
-    f = fileio.load_experiment(args.post) if args.post_kind == "experiment" else None
-    if f is None:
-        f = fileio.load_rule(args.post)
+    kind, f = fileio.load_any(args.post)
+    if kind not in ("experiment", "rule"):
+        raise ArgumentError(f"{args.post}: expected an experiment or a rule file, got a {kind}")
     pi = _resolve_prior(args.prior, e.source)
     processed = core.compose(f, e)
     value = compare.deficiency(e, processed, pi)
@@ -271,7 +271,6 @@ def _cmd_complete_class(args):
             "actions": list(r.actions),
             "risk": r.risk.tolist(),
             "admissible": r.admissible,
-            "dominated": r.dominated,
             "prior": None if r.prior is None else r.prior.weights.tolist(),
         }
         for r in rep.rules
@@ -279,7 +278,6 @@ def _cmd_complete_class(args):
     return {
         "rules": rules,
         "every_admissible_has_prior": rep.every_admissible_has_prior,
-        "every_priorless_dominated": rep.every_priorless_dominated,
         "ok": rep.ok,
     }, 0 if rep.ok else 1
 
@@ -345,13 +343,7 @@ def _conf_deficiency(p):
 
 def _conf_sufficient(p):
     p.add_argument("--experiment", required=True)
-    p.add_argument("--post", required=True, help="post-processing transition file")
-    p.add_argument(
-        "--post-kind",
-        choices=("experiment", "rule"),
-        default="experiment",
-        help="file layout of the post-processing matrix",
-    )
+    p.add_argument("--post", required=True, help="post-processing file, experiment or rule layout")
     p.add_argument("--prior", required=True)
     _add_tol(p)
 

@@ -43,7 +43,6 @@ class DeficiencyResult:
 
     value: float
     witness: Transition
-    lp_status: str
 
 
 def _check_same_source(e: Transition, e2: Transition) -> None:
@@ -86,7 +85,7 @@ def directed_deficiency(e: Transition, e2: Transition, pi: Distribution) -> Defi
     witness = Transition(
         e.target, e2.target, res.primal[2 * n_m:].reshape(n_o2, n_o)
     )
-    return DeficiencyResult(0.5 * float(res.value), witness, res.status)
+    return DeficiencyResult(0.5 * float(res.value), witness)
 
 
 def divides(

@@ -107,11 +107,6 @@ class Distribution:
     def __getitem__(self, label: str) -> float:
         return float(self.weights[self.space.index(label)])
 
-    def support(self, cutoff: float = 0.0) -> tuple[str, ...]:
-        return tuple(
-            lbl for lbl, w in zip(self.space.labels, self.weights) if w > cutoff
-        )
-
 
 @dataclass(frozen=True)
 class UnnormalizedMeasure:

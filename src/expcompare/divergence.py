@@ -27,7 +27,7 @@ from ._samplers import labeled, random_distribution, random_loss, random_markov
 from .core import Distribution, Transition, compose, push
 from .errors import ArgumentError, ShapeError
 from .loss import LossMatrix, entropy
-from .risk import min_bayes_risk, reverse
+from .risk import min_bayes_risk
 
 #: Slack for the post-processing monotonicity checks.
 DPI_SLACK = 1e-9
@@ -74,15 +74,6 @@ class PhiSpec:
     def chi2() -> "PhiSpec":
         return PhiSpec("chi2", lambda x: (x - 1.0) ** 2)
 
-    @staticmethod
-    def custom(
-        name: str,
-        phi: Callable[[float], float],
-        zero_zero: float = 0.0,
-        tail_slope: float = math.inf,
-    ) -> "PhiSpec":
-        return PhiSpec(name, phi, zero_zero, tail_slope)
-
 
 def _check_pair(P: Distribution, Q: Distribution) -> None:
     if P.space != Q.space:
@@ -123,18 +114,20 @@ def shannon_entropy(P: Distribution) -> float:
 
 
 def mutual_information(e: Transition, pi: Distribution) -> float:
-    """Prior entropy minus expected posterior entropy, in nats."""
+    """Prior entropy minus expected posterior entropy, in nats.
+
+    Computed from the joint ``j[z, t] = pi_t e[z, t]`` and its marginal
+    ``m`` as ``sum j log(e[z, t] / m_z)`` over the entries with ``j > 0``,
+    which needs no posterior.  The entropy difference
+    ``H(pi) + H(m) - H(j)`` is the same quantity but loses digits to
+    cancellation.
+    """
     if pi.space != e.source:
         raise ShapeError("prior space does not match experiment source")
-    rev = reverse(e, pi)
-    support = set(rev.support)
-    cond = 0.0
-    for z, lbl in enumerate(e.target.labels):
-        if lbl in support:
-            cond += rev.marginal.weights[z] * shannon_entropy(
-                Distribution(e.source, rev.posterior.matrix[:, z])
-            )
-    return shannon_entropy(pi) - cond
+    joint = e.matrix * pi.weights  # joint[z, t]
+    z, t = np.nonzero(joint)
+    ratio = e.matrix[z, t] / joint.sum(axis=1)[z]
+    return float((joint[z, t] * np.log(ratio)).sum())
 
 
 def risk_gap(L: LossMatrix, e: Transition, pi: Distribution) -> float:

@@ -5,11 +5,12 @@ maps observations to actions; the risk of the pair at unknown ``theta``
 is the expected loss of the composed strategy ``d after e``.  On top of
 the pointwise profile this module provides Bayesian and worst-case
 aggregates, the posterior reversal of an experiment, exact optimal rules
-(Bayes via the reversal, minimax via an LP with the least favorable
-prior read off the duals), a bias/variance split of the pointwise risk
-in canonical coordinates, and admissibility checks with supporting-prior
-extraction for the deterministic rules of a finite instance, from the
-per-observation Bayes conditions (Bayes risk separates over observations).
+(Bayes from the joint scores, one observation at a time, minimax via an
+LP with the least favorable prior read off the duals), a bias/variance
+split of the pointwise risk in canonical coordinates, and admissibility
+checks with supporting-prior extraction for the deterministic rules of a
+finite instance, from the per-observation Bayes conditions (Bayes risk
+separates over observations).
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .core import Distribution, LabeledSet, Transition, compose
+from .core import Distribution, LabeledSet, Transition
 from .errors import ArgumentError, ShapeError, SolverError
 from .loss import LossMatrix, psi, zero_sum_part
 
-#: Observations with marginal mass below this are outside the reversal support.
+#: Observations with marginal mass at most this are outside the support of
+#: the reversal and take action index 0 in Bayes rules.
 SUPPORT_CUTOFF = 1e-12
 
 #: Deterministic-rule enumeration cap for the complete-class report.
@@ -96,9 +98,8 @@ def _check_pair(L: LossMatrix, e: Transition, d: Transition) -> None:
 def risk_profile(L: LossMatrix, e: Transition, d: Transition) -> RiskProfile:
     """Expected loss of the strategy ``d after e`` at every unknown."""
     _check_pair(L, e, d)
-    strategy = compose(d, e)
-    vals = np.einsum("at,ta->t", strategy.matrix, L.values)
-    return RiskProfile(L.unknowns, vals)
+    K, _ = _rule_space(L, e)
+    return RiskProfile(L.unknowns, np.einsum("tza,az->t", K, d.matrix))
 
 
 def bayes_risk(L: LossMatrix, e: Transition, d: Transition, pi: Distribution) -> float:
@@ -174,39 +175,37 @@ def sufficiency_reduction(e: Transition, tol: float = 1e-9) -> Transition:
 def min_bayes_risk(L: LossMatrix, e: Transition, pi: Distribution) -> MinBayesResult:
     """Smallest Bayes risk over all rules, with an optimal deterministic rule.
 
-    The optimal rule infers the posterior of each supported observation
-    and picks its lowest-index Bayes action; observations outside the
-    support are mapped to action index 0.
+    Bayes risk separates over observations, and the posterior at ``z`` is
+    the joint row ``pi * e[z, :]`` up to a positive factor, so each
+    observation with marginal mass above :data:`SUPPORT_CUTOFF` takes the
+    lowest-index action minimizing its joint score
+    ``sum_t pi_t e[z, t] L[t, a]``; the other observations take action
+    index 0.
     """
     if e.source != L.unknowns:
         raise ShapeError("experiment source does not match loss unknowns")
     if pi.space != L.unknowns:
         raise ShapeError("prior space does not match loss unknowns")
-    rev = reverse(e, pi)
-    scores = L.values.T @ rev.posterior.matrix  # scores[a, z]
-    n_act, n_obs = scores.shape
-    rule = np.zeros((n_act, n_obs))
-    value = 0.0
-    support = set(rev.support)
-    for z, lbl in enumerate(e.target.labels):
-        if lbl in support:
-            a = int(np.argmin(scores[:, z]))
-            value += rev.marginal.weights[z] * scores[a, z]
-        else:
-            a = 0
-        rule[a, z] = 1.0
+    joint = e.matrix * pi.weights  # joint[z, t]
+    scores = joint @ L.values  # scores[z, a]
+    supported = joint.sum(axis=1) > SUPPORT_CUTOFF
+    g = np.where(supported, scores.argmin(axis=1), 0)
+    value = scores[supported, g[supported]].sum()
+    rule = np.eye(len(L.actions))[:, g]
     return MinBayesResult(float(value), Transition(e.target, L.actions, rule))
 
 
 def _rule_space(L: LossMatrix, e: Transition) -> tuple[np.ndarray, np.ndarray]:
-    """LP blocks over rule entries ``d(a|z)``, in column ``z * |A| + a``.
+    """Risk coefficients of the rule entries ``d(a|z)`` and their sum rows.
 
-    ``coef[t]`` is the risk at unknown ``t`` (``e[z, t] * L[t, a]`` on
-    ``d(a|z)``); ``sums[z]`` adds up the entries of observation ``z``.
+    ``K[t, z, a] = e[z, t] * L[t, a]`` is the risk at unknown ``t`` per
+    unit of ``d(a|z)``; reshaped to ``(|T|, |Z||A|)`` it is an LP block in
+    column ``z * |A| + a``, where ``sums[z]`` adds up the entries of
+    observation ``z``.
     """
-    n_t, n_z, n_a = len(L.unknowns), len(e.target), len(L.actions)
-    coef = np.einsum("zt,ta->tza", e.matrix, L.values).reshape(n_t, n_z * n_a)
-    return coef, np.kron(np.eye(n_z), np.ones(n_a))
+    n_z, n_a = len(e.target), len(L.actions)
+    K = np.einsum("zt,ta->tza", e.matrix, L.values)
+    return K, np.kron(np.eye(n_z), np.ones(n_a))
 
 
 def _rule_assignments(n_obs: int, n_actions: int, cap: int):
@@ -233,8 +232,8 @@ def minimax_risk(L: LossMatrix, e: Transition) -> MinimaxResult:
         raise ShapeError("experiment source does not match loss unknowns")
     n_t, n_z, n_a = len(L.unknowns), len(e.target), len(L.actions)
     n_d = n_z * n_a
-    coef, sums = _rule_space(L, e)
-    a_ub = np.hstack([coef, -np.ones((n_t, 1))])
+    K, sums = _rule_space(L, e)
+    a_ub = np.hstack([K.reshape(n_t, n_d), -np.ones((n_t, 1))])
     a_eq = np.hstack([sums, np.zeros((n_z, 1))])
     c = np.zeros(n_d + 1)
     c[n_d] = 1.0
@@ -250,12 +249,9 @@ def minimax_risk(L: LossMatrix, e: Transition) -> MinimaxResult:
     rule = Transition(
         e.target, L.actions, res.primal[:n_d].reshape(n_z, n_a).T
     )
+    # the free level's column makes these sum to 1 up to pivot rounding
     prior_w = np.maximum(-res.dual_ub, 0.0)
-    total = prior_w.sum()
-    if total <= 0.0:  # constant-risk degenerate case; any prior is extremal
-        prior = Distribution(L.unknowns, np.full(n_t, 1.0 / n_t))
-    else:
-        prior = Distribution(L.unknowns, prior_w / total)
+    prior = Distribution(L.unknowns, prior_w / prior_w.sum())
     return MinimaxResult(float(res.value), rule, prior)
 
 
@@ -312,16 +308,16 @@ def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> Bi
     return BiasVariance(float(bias), float(variance))
 
 
-def _best_dominating(L: LossMatrix, e: Transition, target: np.ndarray):
+def _best_dominating(K: np.ndarray, sums: np.ndarray, target: np.ndarray):
     """Maximize total pointwise improvement over ``target`` among all rules.
 
-    Returns ``(total_slack, rule_matrix)`` where the rule weakly beats the
-    target profile everywhere and by ``total_slack`` in aggregate.
+    ``K, sums`` come from :func:`_rule_space`.  Returns
+    ``(total_slack, rule_matrix)`` where the rule weakly beats the target
+    profile everywhere and by ``total_slack`` in aggregate.
     """
-    n_t, n_z, n_a = len(L.unknowns), len(e.target), len(L.actions)
+    n_t, n_z, n_a = K.shape
     n_d = n_z * n_a
-    coef, sums = _rule_space(L, e)
-    a_ub = np.hstack([coef, np.eye(n_t)])
+    a_ub = np.hstack([K.reshape(n_t, n_d), np.eye(n_t)])
     a_eq = np.hstack([sums, np.zeros((n_z, n_t))])
     c = np.concatenate([np.zeros(n_d), -np.ones(n_t)])
     res = lp.solve(
@@ -339,7 +335,7 @@ def is_admissible(L: LossMatrix, e: Transition, d: Transition) -> bool:
     slack; admissible means the optimum is at most the solver tolerance.
     """
     _check_pair(L, e, d)
-    slack, _ = _best_dominating(L, e, risk_profile(L, e, d).values)
+    slack, _ = _best_dominating(*_rule_space(L, e), risk_profile(L, e, d).values)
     return slack <= lp.FEAS_TOL
 
 
@@ -351,18 +347,16 @@ class RuleReport:
     risk: np.ndarray
     admissible: bool
     prior: Distribution | None  # a prior for which the rule is Bayes, if any
-    dominated: bool
 
 
 @dataclass(frozen=True)
 class CompleteClassReport:
     rules: tuple[RuleReport, ...]
     every_admissible_has_prior: bool
-    every_priorless_dominated: bool
 
     @property
     def ok(self) -> bool:
-        return self.every_admissible_has_prior and self.every_priorless_dominated
+        return self.every_admissible_has_prior
 
 
 def complete_class_check(
@@ -374,21 +368,23 @@ def complete_class_check(
     whether any rule dominates it, and a supporting prior (a prior under
     which it is Bayes, found by the per-observation LP of
     :func:`_supporting_prior`).  The check passes when every admissible
-    rule has a prior and every rule without one is confirmed dominated.
+    rule has a prior; equivalently, every rule without one is dominated.
     """
     if e.source != L.unknowns:
         raise ShapeError("experiment source does not match loss unknowns")
+    K, sums = _rule_space(L, e)
+    obs = np.arange(len(e.target))
     reports = []
     for g in _rule_assignments(len(e.target), len(L.actions), cap):
-        profile = sum(e.matrix[z, :] * L.values[:, a] for z, a in enumerate(g))
-        slack, _ = _best_dominating(L, e, profile)
+        g = np.asarray(g)
+        profile = K[:, obs, g].sum(axis=1)
+        slack, _ = _best_dominating(K, sums, profile)
         reports.append(
             RuleReport(
                 actions=tuple(L.actions.labels[a] for a in g),
                 risk=profile,
                 admissible=slack <= lp.FEAS_TOL,
-                prior=_supporting_prior(L, e, g),
-                dominated=slack > lp.FEAS_TOL,
+                prior=_supporting_prior(L, K, g),
             )
         )
     return CompleteClassReport(
@@ -396,24 +392,21 @@ def complete_class_check(
         every_admissible_has_prior=all(
             (not r.admissible) or r.prior is not None for r in reports
         ),
-        every_priorless_dominated=all(
-            r.prior is not None or r.dominated for r in reports
-        ),
     )
 
 
-def _supporting_prior(L: LossMatrix, e: Transition, g) -> Distribution | None:
+def _supporting_prior(L: LossMatrix, K: np.ndarray, g: np.ndarray) -> Distribution | None:
     """A prior under which the deterministic rule ``g`` is Bayes, if one exists.
 
     ``g`` is Bayes for ``pi`` exactly when each ``g[z]`` is a Bayes action
     for the weights ``pi * e[z, :]``.  So we need a simplex point with
     ``sum_t pi_t e[z, t] (L[t, a] - L[t, g[z]]) >= 0`` for every
-    observation ``z`` and action ``a != g[z]``: ``|Z| (|A| - 1)`` rows.
+    observation ``z`` and action ``a != g[z]``: ``|Z| (|A| - 1)`` rows,
+    whose coefficients come from ``K`` of :func:`_rule_space`.
     """
     n_t, n_a = L.values.shape
-    g = np.asarray(g)
     # scores[z, a, t]: coefficient of pi_t in the Bayes score of a at z
-    scores = e.matrix[:, None, :] * L.values.T[None, :, :]
+    scores = K.transpose(1, 2, 0)
     gains = scores - scores[np.arange(len(g)), g][:, None, :]
     gains = gains[np.arange(n_a)[None, :] != g[:, None]]
     res = lp.solve(

@@ -188,6 +188,14 @@ class TestCompute:
         )
         assert code == 1  # extra noise is not sufficient
 
+    def test_sufficient_reads_the_post_layout_from_the_file(self, files, capsys):
+        base = ("sufficient", "--experiment", files["bsc01"], "--prior", "uniform")
+        code, _, _ = run(capsys, *base, "--post", files["id_rule"])
+        assert code == 0  # a relabelling loses nothing
+        for other in ("zeroone", "skew"):
+            code, _, err = run(capsys, *base, "--post", files[other])
+            assert code == 2 and "expected an experiment or a rule file" in err
+
     def test_risk_profile_table(self, files, capsys):
         code, out, _ = run(
             capsys,
@@ -302,6 +310,8 @@ class TestFlags:
         ("deficiency", "--from", "bsc01", "--to", "bsc03", "--prior", "uniform", "--units", "bits"),
         ("mutual-info", "--experiment", "bsc01", "--prior", "uniform", "--tol", "1"),
         ("report", "dpi-check", "--kind", "phi", "--out", "bsc01", "--format", "machine"),
+        ("sufficient", "--experiment", "bsc01", "--post", "id_rule", "--prior", "uniform",
+         "--post-kind", "rule"),
     ])
     def test_unhonoured_flags_rejected(self, files, argv):
         with pytest.raises(SystemExit) as info:

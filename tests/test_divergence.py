@@ -11,6 +11,7 @@ from expcompare import (
     Distribution,
     LabeledSet,
     PhiSpec,
+    Transition,
     binary_symmetric,
     dpi_check,
     identity,
@@ -18,6 +19,7 @@ from expcompare import (
     mutual_information,
     phi_divergence,
     point_mass,
+    reverse,
     risk_gap,
     shannon_entropy,
     terminal,
@@ -90,7 +92,7 @@ class TestPhiDivergence:
         assert phi_divergence(spec, P, P) == pytest.approx(0.0, abs=1e-12)
 
     def test_absolute_ratio_weight_doubles_the_variation(self):
-        spec = PhiSpec.custom("l1", lambda x: abs(x - 1.0), tail_slope=1.0)
+        spec = PhiSpec("l1", lambda x: abs(x - 1.0), tail_slope=1.0)
         P, Q = dist([0.9, 0.1]), dist([0.1, 0.9])
         assert phi_divergence(spec, P, Q) == pytest.approx(1.6)
         assert phi_divergence(spec, P, Q) == pytest.approx(2 * variational(P, Q))
@@ -118,9 +120,9 @@ class TestPhiDivergence:
 
     def test_spec_validation(self):
         with pytest.raises(ArgumentError):
-            PhiSpec.custom("off", lambda x: x)  # phi(1) != 0
+            PhiSpec("off", lambda x: x)  # phi(1) != 0
         with pytest.raises(ArgumentError):
-            PhiSpec.custom("concave", lambda x: -((x - 1.0) ** 2))
+            PhiSpec("concave", lambda x: -((x - 1.0) ** 2))
 
 
 class TestShannonEntropy:
@@ -168,6 +170,34 @@ class TestMutualInformation:
             mi = mutual_information(e, pi)
             assert mi >= -1e-9
             assert mi <= min(shannon_entropy(pi), math.log(len(e.target))) + 1e-9
+
+    def test_matches_expected_posterior_entropy(self):
+        # reference: H(pi) - sum_z m_z H(post_z) from the reversal, with a
+        # zero prior weight and an observation of zero mass in half the cases
+        rng = np.random.default_rng(96)
+        from expcompare._samplers import random_markov
+
+        for i in range(40):
+            unknowns = labeled("t", int(rng.integers(2, 5)))
+            e = random_markov(rng, unknowns, labeled("z", int(rng.integers(2, 5))))
+            pi = random_distribution(rng, unknowns)
+            if i % 2:
+                m = e.matrix.copy()
+                m[0] += m[-1]
+                m[-1] = 0.0
+                e = Transition(unknowns, e.target, m)
+                w = pi.weights.copy()
+                w[-1] = 0.0
+                pi = Distribution(unknowns, w / w.sum())
+            rev = reverse(e, pi)
+            cond = sum(
+                rev.marginal[z] * shannon_entropy(Distribution(unknowns, rev.posterior.matrix[:, k]))
+                for k, z in enumerate(e.target.labels)
+                if z in rev.support
+            )
+            assert mutual_information(e, pi) == pytest.approx(
+                shannon_entropy(pi) - cond, abs=1e-12
+            )
 
 
 class TestRiskGap:

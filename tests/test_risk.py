@@ -66,6 +66,15 @@ class TestRiskProfile:
         d = from_function(e.target, L.actions, lambda _: "a1")
         np.testing.assert_allclose(risk_profile(L, e, d).values, L.column("a1"), atol=1e-12)
 
+    def test_matches_the_composed_strategy(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            L = random_loss(rng, labeled("t", int(rng.integers(2, 5))), int(rng.integers(2, 5)))
+            e = random_experiment(rng, len(L.unknowns), int(rng.integers(2, 5)))
+            d = random_markov(rng, e.target, L.actions)
+            want = np.einsum("at,ta->t", compose(d, e).matrix, L.values)
+            np.testing.assert_allclose(risk_profile(L, e, d).values, want, rtol=0, atol=1e-15)
+
 
 class TestAggregates:
     def test_bayes_risk_bsc(self):
@@ -174,6 +183,34 @@ class TestMinBayesRisk:
         res = min_bayes_risk(L01, e, UNIF)
         assert res.rule.matrix[0, 2] == 1.0
 
+    def test_exact_ties_take_the_lowest_index(self):
+        # every column appears twice, so the first of each pair must win
+        rng = np.random.default_rng(62)
+        unknowns = labeled("t", 3)
+        base = np.round(random_loss(rng, unknowns, 2, low=0.0).values * 4) / 4
+        L = LossMatrix(unknowns, labeled("a", 4), base[:, [1, 1, 0, 0]])
+        for _ in range(20):
+            e = random_experiment(rng, 3, 4)
+            pi = random_distribution(rng, unknowns)
+            res = min_bayes_risk(L, e, pi)
+            chosen = res.rule.matrix.argmax(axis=0)
+            assert set(chosen) <= {0, 2}
+            assert res.value == pytest.approx(brute_force_min_bayes_risk(L, e, pi), abs=1e-12)
+
+    def test_zero_masses_take_action_zero(self):
+        # the zero prior weight on t2 leaves z2 (seen only under t2) with
+        # no mass; z3 has mass 3e-14, below the support cutoff, although
+        # its Bayes action alone would be a1
+        unknowns = labeled("t", 3)
+        e = Transition(unknowns, labeled("z", 4), [
+            [0.6 - 1e-13, 0.1, 0.0], [0.4, 0.9, 0.0], [0.0, 0.0, 1.0], [1e-13, 0.0, 0.0],
+        ])
+        pi = Distribution(unknowns, [0.3, 0.7, 0.0])
+        L = LossMatrix(unknowns, labeled("a", 3), [[0.5, 0.2, 0.9], [0.1, 0.8, 0.0], [0.0, 0.6, 0.3]])
+        res = min_bayes_risk(L, e, pi)
+        np.testing.assert_array_equal(res.rule.matrix[:, 2:], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        assert res.value == pytest.approx(brute_force_min_bayes_risk(L, e, pi), abs=1e-13)
+
 
 class TestMinimax:
     def test_bsc_value_and_prior_property(self):
@@ -188,6 +225,17 @@ class TestMinimax:
 
     def test_identity_experiment(self):
         assert minimax_risk(L01, ID).value == pytest.approx(0.0, abs=1e-9)
+
+    def test_constant_loss(self):
+        # every rule has the same constant risk, so every prior is least favorable
+        L = LossMatrix(labeled("t", 3), labeled("a", 2), np.full((3, 2), 0.4))
+        e = random_experiment(np.random.default_rng(63), 3, 3)
+        res = minimax_risk(L, e)
+        assert res.value == pytest.approx(0.4, abs=1e-12)
+        assert res.least_favorable_prior.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert min_bayes_risk(L, e, res.least_favorable_prior).value == pytest.approx(
+            res.value, abs=1e-12
+        )
 
     def test_terminal_needs_randomization(self):
         res = minimax_risk(L01, terminal(THETA))
@@ -288,7 +336,7 @@ class TestCompleteClass:
         good = by_actions[("-1", "1")]
         assert good.admissible and good.prior is not None
         anti = by_actions[("1", "-1")]
-        assert not anti.admissible and anti.dominated
+        assert not anti.admissible and anti.prior is None
 
     def test_identity_experiment_best_rule(self):
         rep = complete_class_check(L01, ID)
