@@ -177,12 +177,12 @@ class _StandardForm:
         b = b * sign
         # crash basis: unit columns, lowest index first, one per row
         nonzero = rows != 0.0
-        unit = (nonzero.sum(axis=0) == 1) & (rows.sum(axis=0) == 1.0)
+        unit = np.flatnonzero((nonzero.sum(axis=0) == 1) & (rows.sum(axis=0) == 1.0))
         basis = np.full(m, -1, dtype=np.int64)
-        for j in np.flatnonzero(unit):
-            i = int(np.argmax(nonzero[:, j]))
-            if basis[i] < 0:
-                basis[i] = j
+        if unit.size:
+            # a stable unique keeps the first, so lowest, unit column per row
+            taken, first = np.unique(nonzero[:, unit].argmax(axis=0), return_index=True)
+            basis[taken] = unit[first]
         # artificial columns for the remaining rows
         needs_art = basis < 0
         n_struct = self.n_ext + n_ub
@@ -204,10 +204,10 @@ class _StandardForm:
 
 
 def _pivot(tab: np.ndarray, r: int, c: int) -> None:
-    tab[r, :] /= tab[r, c]
+    tab[r] /= tab[r, c]
     factors = tab[:, c].copy()
     factors[r] = 0.0
-    tab -= np.outer(factors, tab[r, :])
+    tab -= factors[:, None] * tab[r]
 
 
 def _run_simplex(
@@ -225,6 +225,7 @@ def _run_simplex(
     m = tab.shape[0] - 1
     n = tab.shape[1] - 1
     rhs = tab[:m, n]
+    ratios = np.empty(m)
     streak = 0
     max_iter = _max_iter(m, n)
     for it in range(max_iter):
@@ -241,13 +242,16 @@ def _run_simplex(
         positive = col > PIVOT_TOL
         if not positive.any():
             return False, it
-        ratios = np.full(m, np.inf)
-        ratios[positive] = rhs[positive] / col[positive]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios == best)
-        # Bland leaving rule: among minimal ratios, the row whose basic
-        # variable has the smallest index.
-        r = int(ties[np.argmin(basis[ties])])
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=positive)
+        r = int(ratios.argmin())
+        best = ratios[r]
+        ties = ratios == best
+        if np.count_nonzero(ties) > 1:
+            # Bland leaving rule: among minimal ratios, the row whose basic
+            # variable has the smallest index.
+            ties = np.flatnonzero(ties)
+            r = int(ties[np.argmin(basis[ties])])
         streak = streak + 1 if best <= PIVOT_TOL else 0
         _pivot(tab, r, c)
         basis[r] = c
