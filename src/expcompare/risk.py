@@ -308,12 +308,12 @@ def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> Bi
     return BiasVariance(float(bias), float(variance))
 
 
-def _best_dominating(K: np.ndarray, sums: np.ndarray, target: np.ndarray):
+def _best_dominating(K: np.ndarray, sums: np.ndarray, target: np.ndarray) -> float:
     """Maximize total pointwise improvement over ``target`` among all rules.
 
-    ``K, sums`` come from :func:`_rule_space`.  Returns
-    ``(total_slack, rule_matrix)`` where the rule weakly beats the target
-    profile everywhere and by ``total_slack`` in aggregate.
+    ``K, sums`` come from :func:`_rule_space`.  Returns the total slack:
+    the largest aggregate gain of a rule that weakly beats the target
+    profile everywhere.
     """
     n_t, n_z, n_a = K.shape
     n_d = n_z * n_a
@@ -325,7 +325,7 @@ def _best_dominating(K: np.ndarray, sums: np.ndarray, target: np.ndarray):
     )
     if not res.is_optimal:
         raise SolverError(f"domination program did not solve: {res.status}")
-    return -float(res.value), res.primal[:n_d].reshape(n_z, n_a).T
+    return -float(res.value)
 
 
 def is_admissible(L: LossMatrix, e: Transition, d: Transition) -> bool:
@@ -335,7 +335,7 @@ def is_admissible(L: LossMatrix, e: Transition, d: Transition) -> bool:
     slack; admissible means the optimum is at most the solver tolerance.
     """
     _check_pair(L, e, d)
-    slack, _ = _best_dominating(*_rule_space(L, e), risk_profile(L, e, d).values)
+    slack = _best_dominating(*_rule_space(L, e), risk_profile(L, e, d).values)
     return slack <= lp.FEAS_TOL
 
 
@@ -378,7 +378,7 @@ def complete_class_check(
     for g in _rule_assignments(len(e.target), len(L.actions), cap):
         g = np.asarray(g)
         profile = K[:, obs, g].sum(axis=1)
-        slack, _ = _best_dominating(K, sums, profile)
+        slack = _best_dominating(K, sums, profile)
         reports.append(
             RuleReport(
                 actions=tuple(L.actions.labels[a] for a in g),

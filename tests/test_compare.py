@@ -261,18 +261,15 @@ class TestSufficient:
 
 
 #: Seed, size and pivot bound of the large deficiency regression case:
-#: |T| = |Z| = |W| = 20 takes 71 + 2184 pivots.
-LARGE_SEED, LARGE_SIZE, LARGE_PIVOT_BOUND = 20, 20, 3000
+#: |T| = |Z| = |W| = 20 takes 96 + 510 pivots.
+LARGE_SEED, LARGE_SIZE, LARGE_PIVOT_BOUND = 20, 20, 1000
+#: Seed, size and pivot bound of the divisible regression pair F.e: every
+#: basic gap variable sits at 0, and the pair takes 67 + 258 pivots.
+DIVISIBLE_SEED, DIVISIBLE_SIZE, DIVISIBLE_PIVOT_BOUND = 232, 12, 1000
 
 
-@pytest.fixture(scope="module")
-def large_deficiency():
-    """One size-20 directed deficiency with the pivots of its LP."""
-    rng = np.random.default_rng(LARGE_SEED)
-    theta = labeled("t", LARGE_SIZE)
-    e = random_markov(rng, theta, labeled("z", LARGE_SIZE))
-    e2 = random_markov(rng, theta, labeled("w", LARGE_SIZE))
-    pi = random_distribution(rng, theta)
+def _recorded_deficiency(e, e2, pi):
+    """``directed_deficiency(e, e2, pi)`` and the results of the LPs it solved."""
     results = []
     solve = lp.solve
 
@@ -283,7 +280,18 @@ def large_deficiency():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "solve", recording)
         res = directed_deficiency(e, e2, pi)
-    return e, e2, pi, res, results
+    return res, results
+
+
+@pytest.fixture(scope="module")
+def large_deficiency():
+    """One size-20 directed deficiency with the pivots of its LP."""
+    rng = np.random.default_rng(LARGE_SEED)
+    theta = labeled("t", LARGE_SIZE)
+    e = random_markov(rng, theta, labeled("z", LARGE_SIZE))
+    e2 = random_markov(rng, theta, labeled("w", LARGE_SIZE))
+    pi = random_distribution(rng, theta)
+    return e, e2, pi, *_recorded_deficiency(e, e2, pi)
 
 
 class TestLargeDeficiency:
@@ -300,3 +308,19 @@ class TestLargeDeficiency:
         assert res.value == pytest.approx(oracle, abs=1e-9)
         gap = np.abs(res.witness.matrix @ e.matrix - e2.matrix) @ pi.weights
         assert 0.5 * gap.sum() == pytest.approx(res.value, abs=1e-9)
+
+
+class TestDivisiblePair:
+    def test_zero_deficiency_within_pivot_bound(self):
+        rng = np.random.default_rng(DIVISIBLE_SEED)
+        theta = labeled("t", DIVISIBLE_SIZE)
+        e = random_markov(rng, theta, labeled("z", DIVISIBLE_SIZE))
+        f = random_markov(rng, e.target, labeled("w", DIVISIBLE_SIZE))
+        e2 = compose(f, e)
+        res, results = _recorded_deficiency(e, e2, uniform(theta))
+        assert len(results) == 1 and results[0].is_optimal
+        assert sum(results[0].pivots) <= DIVISIBLE_PIVOT_BOUND
+        assert divides(e, e2)[0]
+        pytest.importorskip("scipy")
+        oracle = highs_directed_deficiency(e.matrix, e2.matrix, uniform(theta).weights)
+        assert res.value == pytest.approx(oracle, abs=1e-9)

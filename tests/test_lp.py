@@ -205,19 +205,34 @@ BEALE = LinearProgram(
 )
 
 
-class TestPivotRule:
-    def test_beale_needs_the_bland_fallback(self):
-        res = lp.solve(BEALE)
-        assert res.status == lp.OPTIMAL
-        assert res.value == pytest.approx(-1.25, abs=1e-12)
-        np.testing.assert_allclose(res.primal, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
-        # a streak of degenerate pivots had to run out before progress
-        assert res.pivots[1] > lp.DEGENERATE_STREAK
+def _assert_beale_optimum(res):
+    assert res.status == lp.OPTIMAL
+    assert res.value == pytest.approx(-1.25, abs=1e-12)
+    np.testing.assert_allclose(res.primal, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
 
-    def test_pure_dantzig_cycles_on_beale(self, monkeypatch):
-        monkeypatch.setattr(lp, "DEGENERATE_STREAK", 10**9)
-        with pytest.raises(SolverError, match="phase two exceeded"):
-            lp.solve(BEALE)
+
+class TestPivotRule:
+    def test_beale_optimum(self):
+        res = lp.solve(BEALE)
+        _assert_beale_optimum(res)
+        # steepest edge leaves the degenerate vertex without a streak
+        assert res.pivots == (0, 3)
+
+    def test_pure_bland_solves_beale(self, monkeypatch):
+        # a streak of 0 hands every entering choice to Bland's rule, whose
+        # longer path pins that the fallback branch is taken
+        monkeypatch.setattr(lp, "DEGENERATE_STREAK", 0)
+        res = lp.solve(BEALE)
+        _assert_beale_optimum(res)
+        assert res.pivots == (0, 6)
+
+    def test_fallback_starts_after_the_streak(self, monkeypatch):
+        # Beale's first pivots are degenerate: after two of them Bland's
+        # rule takes over, a path neither rule takes alone
+        monkeypatch.setattr(lp, "DEGENERATE_STREAK", 2)
+        res = lp.solve(BEALE)
+        _assert_beale_optimum(res)
+        assert res.pivots == (0, 4)
 
     def test_iteration_limit_message(self, monkeypatch):
         monkeypatch.setattr(lp, "_max_iter", lambda m, n: 3)
@@ -240,14 +255,17 @@ class TestPivotRule:
         infeasible = solve([0.0], a_ub=[[1.0]], b_ub=[-1.0])
         assert infeasible.status == lp.INFEASIBLE and infeasible.pivots == (0, 0)
 
-    def test_dantzig_enters_most_negative_reduced_cost(self, monkeypatch):
-        p = LinearProgram([-1.0, -2.0], a_ub=[[2.0, 2.0]], b_ub=[2.0])
+    def test_steepest_edge_enters_the_steepest_column(self, monkeypatch):
+        # from the slack basis the scores d_j^2 / (1 + a_j^2) are 1/17,
+        # 9/101 and 4/5: x2 enters and is optimal at once, where Dantzig's
+        # rule would enter x1 (most negative cost) and Bland's x0
+        p = LinearProgram([-1.0, -3.0, -2.0], a_ub=[[4.0, 10.0, 2.0]], b_ub=[2.0])
         res = lp.solve(p)
         assert res.pivots == (0, 1)
-        np.testing.assert_allclose(res.primal, [0.0, 1.0])
-        # Bland's rule alone enters x0 first and needs a second pivot
+        np.testing.assert_allclose(res.primal, [0.0, 0.0, 1.0])
+        # Bland's rule alone walks x0, x1, x2
         monkeypatch.setattr(lp, "DEGENERATE_STREAK", 0)
-        assert lp.solve(p).pivots == (0, 2)
+        assert lp.solve(p).pivots == (0, 3)
 
 
 class TestCrashBasis:

@@ -47,8 +47,8 @@ UNIF = uniform(THETA)
 
 #: Seed and pivot bound of the complete-class case at the enumeration cap:
 #: 3 unknowns, 4 actions and 6 observations give 4096 rules and 8192 LPs,
-#: which take 58 261 (domination) + 13 412 (supporting prior) = 71 673 pivots.
-CAP_SEED, CAP_PIVOT_BOUND = 7, 95_000
+#: which take 33 712 (domination) + 10 915 (supporting prior) = 44 627 pivots.
+CAP_SEED, CAP_PIVOT_BOUND = 7, 60_000
 
 
 class TestRiskProfile:
