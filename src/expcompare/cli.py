@@ -12,6 +12,7 @@ tolerances and toolkit version, to a file for batch pipelines.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -185,8 +186,8 @@ def _cmd_sufficient(args):
     if kind not in ("experiment", "rule"):
         raise ArgumentError(f"{args.post}: expected an experiment or a rule file, got a {kind}")
     pi = _resolve_prior(args.prior, e.source)
-    processed = core.compose(f, e)
-    value = compare.deficiency(e, processed, pi)
+    # e divides f.e by construction, so the deficiency is the reverse value
+    value = compare.directed_deficiency(core.compose(f, e), e, pi).value
     tol = compare.DIVIDES_TOL if args.tol is None else args.tol
     ok = value <= tol
     return {"sufficient": ok, "deficiency": value}, 0 if ok else 1
@@ -220,14 +221,7 @@ def _cmd_mutual_info(args):
 
 def _cmd_dpi_check(args):
     rep = divergence.dpi_check(args.kind, trials=args.trials, seed=args.seed)
-    return {
-        "kind": rep.kind,
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "violations": rep.violations,
-        "max_excess": rep.max_excess,
-        "ok": rep.ok,
-    }, 0 if rep.ok else 1
+    return {**dataclasses.asdict(rep), "ok": rep.ok}, 0 if rep.ok else 1
 
 
 def _cmd_randomization_check(args):
@@ -235,31 +229,15 @@ def _cmd_randomization_check(args):
     e2 = fileio.load_experiment(args.to_path)
     pi = _resolve_prior(args.prior, e.source)
     rep = compare.randomization_check(e, e2, pi, trials=args.trials, seed=args.seed)
-    return {
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "epsilon": rep.epsilon,
-        "deficiency": rep.deficiency,
-        "violations": rep.violations,
-        "max_directed_gap": rep.max_directed_gap,
-        "max_abs_gap": rep.max_abs_gap,
-        "ok": rep.ok,
-    }, 0 if rep.ok else 1
+    return {**dataclasses.asdict(rep), "ok": rep.ok}, 0 if rep.ok else 1
 
 
 def _cmd_metric_check(args):
     experiments = [fileio.load_experiment(p) for p in args.experiments]
     pi = _resolve_prior(args.prior, experiments[0].source)
     rep = compare.metric_check(experiments, pi, trials=args.trials)
-    return {
-        "experiments": len(experiments),
-        "directed": rep.directed.tolist(),
-        "symmetrized": rep.symmetrized.tolist(),
-        "triangles_checked": rep.triangles_checked,
-        "max_triangle_violation": rep.max_triangle_violation,
-        "max_self_deficiency": rep.max_self_deficiency,
-        "ok": rep.ok,
-    }, 0 if rep.ok else 1
+    payload = {"experiments": len(experiments), **dataclasses.asdict(rep), "ok": rep.ok}
+    return payload, 0 if rep.ok else 1
 
 
 def _cmd_complete_class(args):

@@ -113,10 +113,14 @@ def deficiency(e: Transition, e2: Transition, pi: Distribution) -> float:
 
 
 def is_sufficient(e: Transition, f: Transition, pi: Distribution) -> bool:
-    """Whether post-processing by ``f`` loses none of the information in ``e``."""
+    """Whether post-processing by ``f`` loses none of the information in ``e``.
+
+    ``e`` divides ``f.e`` by construction (``f`` is a witness), so only the
+    directed deficiency from ``f.e`` back to ``e`` is solved.
+    """
     if f.source != e.target:
         raise ShapeError("post-processing source does not match experiment target")
-    return deficiency(e, compose(f, e), pi) <= DIVIDES_TOL
+    return directed_deficiency(compose(f, e), e, pi).value <= DIVIDES_TOL
 
 
 @dataclass(frozen=True)

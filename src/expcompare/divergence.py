@@ -37,16 +37,15 @@ _CONVEXITY_GRID = np.linspace(0.0, 4.0, 33)
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """A convex ratio weight ``phi`` with ``phi(1) = 0`` plus zero conventions.
+    """A convex ratio weight ``phi`` with ``phi(1) = 0`` plus its tail.
 
-    ``zero_zero`` is the contribution of outcomes where both masses
-    vanish; ``tail_slope`` is the per-unit cost of ``Q`` mass outside the
-    support of ``P`` (the limit of ``phi(x)/x``, possibly infinite).
+    ``tail_slope`` is the per-unit cost of ``Q`` mass outside the support
+    of ``P`` (the limit of ``phi(x)/x``, possibly infinite).  Outcomes
+    where both masses vanish contribute 0.
     """
 
     name: str
     phi: Callable[[float], float]
-    zero_zero: float = 0.0
     tail_slope: float = math.inf
 
     def __post_init__(self) -> None:
@@ -101,8 +100,6 @@ def phi_divergence(spec: PhiSpec, P: Distribution, Q: Distribution) -> float:
             if math.isinf(spec.tail_slope):
                 return math.inf
             total += q * spec.tail_slope
-        else:
-            total += spec.zero_zero
     return float(total)
 
 

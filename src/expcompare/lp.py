@@ -9,9 +9,11 @@ reduced costs ``d_j``, the largest ``d_j**2 / (1 + ||tab[:m, j]||**2)``,
 read off the dense tableau.  After ``DEGENERATE_STREAK`` degenerate
 pivots in a row it falls back to Bland's rule until a pivot makes
 progress, so it cannot cycle.  The leaving row is always Bland's.
-Phase one starts from a crash basis: every column that is a unit
-vector, once rows are signed to nonnegative right-hand sides, starts
-basic in its row, and only the rows left over get artificial columns.
+The tableau is built from the program in one step.  Phase one starts
+from a crash basis: every column that is a unit vector, once rows are
+signed to nonnegative right-hand sides, starts basic in its row, and
+only the rows left over get artificial columns.  One pricing routine
+fills the reduced-cost row for both phases.
 Every rule breaks ties by index, so a given program always takes the
 same pivot path: re-solving an identical program yields a bit-for-bit
 identical result.  ``LPResult.pivots`` reports the pivots of each phase.
@@ -144,66 +146,6 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-class _StandardForm:
-    """Equality standard form with slacks, split free variables and
-    artificial columns arranged after all structural columns.
-
-    Rows are signed so that every right-hand side is nonnegative.  Then
-    any column that is a unit vector (a single ``+1``) starts basic in
-    its row, the lowest index winning; only rows left without one get an
-    artificial column.
-    """
-
-    def __init__(self, p: LinearProgram):
-        n = p.n_vars
-        free_idx = np.flatnonzero(p.free)
-        # structural columns: originals, then one negated copy per free var
-        a_all = np.vstack([p.a_eq, p.a_ub])
-        ext = [a_all] if free_idx.size == 0 else [a_all, -a_all[:, free_idx]]
-        a_ext = np.hstack(ext)
-        self.c_ext = np.concatenate([p.c, -p.c[free_idx]])
-        self.free_idx = free_idx
-        self.n_orig = n
-        self.n_ext = a_ext.shape[1]
-
-        n_eq = p.a_eq.shape[0]
-        n_ub = p.a_ub.shape[0]
-        m = n_eq + n_ub
-        b = np.concatenate([p.b_eq, p.b_ub])
-        slack = np.vstack([np.zeros((n_eq, n_ub)), np.eye(n_ub)])
-        rows = np.hstack([a_ext, slack])
-        # normalize right-hand sides to be nonnegative, remembering signs
-        sign = np.where(b < 0.0, -1.0, 1.0)
-        rows *= sign[:, None]
-        b = b * sign
-        # crash basis: unit columns, lowest index first, one per row
-        nonzero = rows != 0.0
-        unit = np.flatnonzero((nonzero.sum(axis=0) == 1) & (rows.sum(axis=0) == 1.0))
-        basis = np.full(m, -1, dtype=np.int64)
-        if unit.size:
-            # a stable unique keeps the first, so lowest, unit column per row
-            taken, first = np.unique(nonzero[:, unit].argmax(axis=0), return_index=True)
-            basis[taken] = unit[first]
-        # artificial columns for the remaining rows
-        needs_art = basis < 0
-        n_struct = self.n_ext + n_ub
-        art_rows = np.flatnonzero(needs_art)
-        k = art_rows.size
-        basis[art_rows] = n_struct + np.arange(k)
-        art = np.zeros((m, k))
-        art[art_rows, np.arange(k)] = 1.0
-        self.a_std = np.hstack([rows, art])
-        self.b_std = b
-        self.sign = sign
-        self.n_eq = n_eq
-        self.n_ub = n_ub
-        self.m = m
-        self.n_struct = n_struct
-        self.n_total = n_struct + k
-        self.basis0 = basis
-        self.artificial_rows = needs_art
-
-
 def _pivot(tab: np.ndarray, r: int, c: int) -> None:
     tab[r] /= tab[r, c]
     factors = tab[:, c].copy()
@@ -220,8 +162,8 @@ def _run_simplex(
     one reduced-cost row at the bottom, and the right-hand side in the
     last column.  ``basis`` holds the basic variable of each constraint
     row.  Only columns ``< n_eligible`` may enter the basis (this is how
-    phase two excludes artificial columns).  Exceeding the iteration
-    limit raises ``SolverError``.
+    phase two excludes artificial columns).  A phase still not optimal
+    after the iteration limit raises ``SolverError``.
     """
     m = tab.shape[0] - 1
     n = tab.shape[1] - 1
@@ -229,11 +171,13 @@ def _run_simplex(
     ratios = np.empty(m)
     streak = 0
     max_iter = _max_iter(m, n)
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         costs = tab[m, :n_eligible]
         neg = np.flatnonzero(costs < -PIVOT_TOL)
         if neg.size == 0:
             return True, it
+        if it == max_iter:
+            break
         if streak < DEGENERATE_STREAK:
             cols = tab[:m, neg]
             d = costs[neg]
@@ -264,25 +208,73 @@ def _run_simplex(
     )
 
 
-def _run_phase1(sf: _StandardForm) -> tuple[np.ndarray, np.ndarray, float, int]:
-    m, n_total = sf.m, sf.n_total
+def _price(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
+    """Fill the bottom row of ``tab`` with the reduced costs of ``cost``.
+
+    Each basic row is subtracted, scaled by its column's cost, in row
+    order; rows whose basic column costs nothing are skipped.
+    """
+    obj = tab[-1]
+    obj[:] = cost
+    for i, j in enumerate(basis):
+        cb = obj[j]
+        if cb != 0.0:
+            obj -= cb * tab[i]
+
+
+def _phase_one(
+    p: LinearProgram,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Build the simplex tableau of ``p`` and pivot phase one to its optimum.
+
+    The tableau has ``m`` constraint rows, then the reduced-cost row, and
+    the columns: the variables, one negated copy per free variable, one
+    slack per ``<=`` row, the artificials, and the right-hand side.  Rows
+    are signed so that every right-hand side is nonnegative.  Then any
+    column that is a unit vector (a single ``+1``) starts basic in its
+    row, the lowest index winning; only rows left without one get an
+    artificial column.  Returns ``(tab, basis, basis0, sign, n_struct,
+    pivots)``: ``basis0`` is the starting basis, ``sign`` the row signs
+    and ``n_struct`` the number of columns before the artificials.
+    """
+    free_idx = np.flatnonzero(p.free)
+    n, n_eq, n_ub = p.n_vars, p.b_eq.size, p.b_ub.size
+    m = n_eq + n_ub
+    n_ext = n + free_idx.size
+    n_struct = n_ext + n_ub
+    b = np.concatenate([p.b_eq, p.b_ub])
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    rows = np.zeros((m, n_struct))
+    rows[:n_eq, :n] = p.a_eq
+    rows[n_eq:, :n] = p.a_ub
+    rows[:, n:n_ext] = -rows[:, free_idx]
+    rows[np.arange(n_eq, m), np.arange(n_ext, n_struct)] = 1.0
+    rows *= sign[:, None]
+    nonzero = rows != 0.0
+    unit = np.flatnonzero((nonzero.sum(axis=0) == 1) & (rows.sum(axis=0) == 1.0))
+    basis0 = np.full(m, -1, dtype=np.int64)
+    if unit.size:
+        # a stable unique keeps the first, so lowest, unit column per row
+        taken, first = np.unique(nonzero[:, unit].argmax(axis=0), return_index=True)
+        basis0[taken] = unit[first]
+    art_rows = np.flatnonzero(basis0 < 0)
+    n_total = n_struct + art_rows.size
+    basis0[art_rows] = np.arange(n_struct, n_total)
     tab = np.zeros((m + 1, n_total + 1))
-    tab[:m, :n_total] = sf.a_std
-    tab[:m, n_total] = sf.b_std
-    basis = sf.basis0.copy()
-    # price out the artificial basis (phase-1 cost 1 per artificial)
-    obj = np.zeros(n_total + 1)
-    obj[sf.n_struct:n_total] = 1.0
-    for i in np.flatnonzero(sf.artificial_rows):
-        obj -= tab[i, :]
-    tab[m, :] = obj
+    tab[:m, :n_struct] = rows
+    tab[art_rows, basis0[art_rows]] = 1.0
+    tab[:m, n_total] = b * sign
+    cost = np.zeros(n_total + 1)
+    cost[n_struct:n_total] = 1.0
+    basis = basis0.copy()
+    _price(tab, basis, cost)
     bounded, pivots = _run_simplex("one", tab, basis, n_total)
     if not bounded:
         raise SolverError(
             f"phase one reported an unbounded objective "
             f"({pivots} pivots on a {m + 1}x{n_total + 1} tableau)"
         )
-    return tab, basis, float(-tab[m, n_total]), pivots
+    return tab, basis, basis0, sign, n_struct, pivots
 
 
 def _max_iter(m: int, n: int) -> int:
@@ -294,60 +286,51 @@ def _max_iter(m: int, n: int) -> int:
 
 def feasible(p: LinearProgram) -> bool:
     """Whether the program has any feasible point (phase one only)."""
-    sf = _StandardForm(p)
-    _, _, infeas, _ = _run_phase1(sf)
-    return infeas <= FEAS_TOL
+    tab = _phase_one(p)[0]
+    return bool(-tab[-1, -1] <= FEAS_TOL)
 
 
 def solve(p: LinearProgram) -> LPResult:
     """Solve the program; status is optimal, infeasible or unbounded."""
-    sf = _StandardForm(p)
-    m, n_total, n_struct = sf.m, sf.n_total, sf.n_struct
-    tab, basis, infeas, pivots1 = _run_phase1(sf)
-    if infeas > FEAS_TOL:
+    tab, basis, basis0, sign, n_struct, pivots1 = _phase_one(p)
+    m, n_total = tab.shape[0] - 1, tab.shape[1] - 1
+    if -tab[m, n_total] > FEAS_TOL:
         return LPResult(status=INFEASIBLE, pivots=(pivots1, 0))
 
     # Drive leftover artificials out of the basis where possible; rows with
     # no eligible pivot are redundant and keep a zero-level artificial.
-    for i in range(m):
-        if basis[i] >= n_struct:
-            row = np.abs(tab[i, :n_struct])
-            cands = np.flatnonzero(row > PIVOT_TOL)
-            if cands.size:
-                _pivot(tab, i, int(cands[0]))
-                basis[i] = int(cands[0])
-                pivots1 += 1
+    for i in np.flatnonzero(basis >= n_struct):
+        cands = np.flatnonzero(np.abs(tab[i, :n_struct]) > PIVOT_TOL)
+        if cands.size:
+            _pivot(tab, i, int(cands[0]))
+            basis[i] = cands[0]
+            pivots1 += 1
 
     # Phase two: restore the real objective, keep artificials ineligible.
-    obj = np.zeros(n_total + 1)
-    obj[: sf.n_ext] = sf.c_ext
-    for i in range(m):
-        cb = obj[basis[i]]
-        if cb != 0.0:
-            obj = obj - cb * tab[i, :]
-    tab[m, :] = obj
+    n, free_idx = p.n_vars, np.flatnonzero(p.free)
+    n_ext = n + free_idx.size
+    cost = np.zeros(n_total + 1)
+    cost[:n] = p.c
+    cost[n:n_ext] = -p.c[free_idx]
+    _price(tab, basis, cost)
     bounded, pivots2 = _run_simplex("two", tab, basis, n_struct)
     pivots = (pivots1, pivots2)
     if not bounded:
         return LPResult(status=UNBOUNDED, pivots=pivots)
 
-    x_std = np.zeros(n_total)
-    x_std[basis] = tab[:m, n_total]
-    primal = x_std[: sf.n_orig].copy()
-    if sf.free_idx.size:
-        primal[sf.free_idx] -= x_std[sf.n_orig : sf.n_ext]
-    value = float(p.c @ primal)
-
+    x = np.zeros(n_total)
+    x[basis] = tab[:m, n_total]
+    primal = x[:n]
+    primal[free_idx] -= x[n:n_ext]
     # Row i started with the unit column basis0[i]; its reduced cost is
     # its cost minus the (signed) dual of row i.
-    cost_std = np.zeros(n_total)
-    cost_std[: sf.n_ext] = sf.c_ext
-    y = (cost_std[sf.basis0] - tab[m, sf.basis0]) * sf.sign
+    y = (cost[basis0] - tab[m, basis0]) * sign
+    n_eq = p.b_eq.size
     return LPResult(
         status=OPTIMAL,
-        value=value,
+        value=float(p.c @ primal),
         primal=primal,
-        dual_eq=y[: sf.n_eq],
-        dual_ub=y[sf.n_eq :],
+        dual_eq=y[:n_eq],
+        dual_ub=y[n_eq:],
         pivots=pivots,
     )

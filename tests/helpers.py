@@ -137,3 +137,40 @@ def highs_directed_deficiency(e, e2, pw):
                   A_eq=a_eq, b_eq=np.ones(n_o), bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return 0.5 * res.fun
+
+
+def coefficients(rng, shape, integer):
+    # small integers make ties and degenerate vertices common
+    if integer:
+        return rng.integers(-2, 3, shape).astype(float)
+    return rng.uniform(-1.0, 1.0, shape)
+
+
+def random_program(seed: int) -> LinearProgram:
+    """Equality and ``<=`` rows, some free variables, some boxed.
+
+    Half of the right-hand sides are taken at a point ``x0`` (plus slack
+    for ``<=`` rows), so feasible, unbounded and infeasible programs all
+    occur.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    n_eq, n_ub = int(rng.integers(0, 4)), int(rng.integers(0, 5))
+    integer = bool(rng.integers(2))
+    free = rng.random(n) < 0.3
+    c = coefficients(rng, n, integer)
+    a_eq = coefficients(rng, (n_eq, n), integer)
+    a_ub = coefficients(rng, (n_ub, n), integer)
+    x0 = rng.integers(0, 3, n).astype(float)
+    x0[free] -= 1.0
+    if rng.integers(2):
+        b_eq = a_eq @ x0
+        b_ub = a_ub @ x0 + rng.integers(0, 2, n_ub)
+    else:
+        b_eq = coefficients(rng, n_eq, integer)
+        b_ub = coefficients(rng, n_ub, integer)
+    if rng.integers(2):  # box every variable: the program cannot be unbounded
+        box = np.vstack([np.eye(n), -np.eye(n)])
+        a_ub = np.vstack([a_ub, box])
+        b_ub = np.concatenate([b_ub, np.full(2 * n, 3.0)])
+    return LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, free=free)

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from expcompare import fileio
+from expcompare import fileio, lp
 from expcompare.cli import main
+from expcompare.compare import MetricReport, RandomizationReport
+from expcompare.divergence import DpiReport
 
 THETA = ["-1", "1"]
 
@@ -188,6 +191,17 @@ class TestCompute:
         )
         assert code == 1  # extra noise is not sufficient
 
+    def test_sufficient_solves_one_program(self, files, capsys, monkeypatch):
+        # e always divides f.e, so only the reverse direction is solved
+        calls = []
+        real = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda p: calls.append(p) or real(p))
+        code, out, _ = run(capsys, "sufficient", "--experiment", files["bsc01"],
+                           "--post", files["bsc03"], "--prior", "uniform",
+                           "--format", "machine")
+        assert code == 1 and json.loads(out)["deficiency"] > 0.1
+        assert len(calls) == 1
+
     def test_sufficient_reads_the_post_layout_from_the_file(self, files, capsys):
         base = ("sufficient", "--experiment", files["bsc01"], "--prior", "uniform")
         code, _, _ = run(capsys, *base, "--post", files["id_rule"])
@@ -242,6 +256,26 @@ class TestCompute:
         payload = json.loads(out)
         assert payload["violations"] == 0
         assert payload["max_abs_gap"] <= payload["deficiency"] + 1e-7
+
+    def test_audit_payloads_follow_their_reports(self, files, capsys):
+        pair = ("--from", files["bsc01"], "--to", files["bsc03"], "--prior", "uniform")
+        cases = [
+            (("dpi-check", "--kind", "phi", "--trials", "5"), DpiReport,
+             ["kind", "trials", "seed", "violations", "max_excess", "ok"]),
+            (("randomization-check", *pair, "--trials", "5"), RandomizationReport,
+             ["trials", "seed", "epsilon", "deficiency", "violations",
+              "max_directed_gap", "max_abs_gap", "ok"]),
+            (("metric-check", "--experiments", files["bsc01"], files["bsc03"],
+              "--prior", "uniform"), MetricReport,
+             ["experiments", "directed", "symmetrized", "triangles_checked",
+              "max_triangle_violation", "max_self_deficiency", "ok"]),
+        ]
+        for argv, report, keys in cases:
+            code, out, _ = run(capsys, *argv, "--format", "machine")
+            assert code == 0
+            assert list(json.loads(out)) == keys
+            fields = [f.name for f in dataclasses.fields(report)]
+            assert keys[-len(fields) - 1:] == fields + ["ok"]
 
 
 class TestReport:

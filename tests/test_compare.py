@@ -259,6 +259,14 @@ class TestSufficient:
     def test_terminal_is_not_sufficient_for_informative_experiments(self):
         assert not is_sufficient(BSC01, terminal(THETA), UNIF)
 
+    def test_one_program_per_check(self, monkeypatch):
+        # e always divides f.e, so only the reverse direction is solved
+        calls = []
+        real = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda p: calls.append(p) or real(p))
+        assert not is_sufficient(BSC01, terminal(THETA), UNIF)
+        assert len(calls) == 1
+
 
 #: Seed, size and pivot bound of the large deficiency regression case:
 #: |T| = |Z| = |W| = 20 takes 96 + 510 pivots.

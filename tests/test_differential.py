@@ -12,7 +12,12 @@ import pytest
 pytest.importorskip("scipy")
 pytest.importorskip("hypothesis")
 
-from helpers import highs_directed_deficiency, highs_support_gap
+from helpers import (
+    coefficients,
+    highs_directed_deficiency,
+    highs_support_gap,
+    random_program,
+)
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
@@ -43,43 +48,6 @@ def highs(p: LinearProgram):
     if p.a_eq.shape[0]:
         kw.update(A_eq=p.a_eq, b_eq=p.b_eq)
     return linprog(p.c, bounds=bounds, method="highs", **kw)
-
-
-def _coefficients(rng, shape, integer):
-    # small integers make ties and degenerate vertices common
-    if integer:
-        return rng.integers(-2, 3, shape).astype(float)
-    return rng.uniform(-1.0, 1.0, shape)
-
-
-def random_program(seed: int) -> LinearProgram:
-    """Equality and ``<=`` rows, some free variables, some boxed.
-
-    Half of the right-hand sides are taken at a point ``x0`` (plus slack
-    for ``<=`` rows), so feasible, unbounded and infeasible programs all
-    occur.
-    """
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 7))
-    n_eq, n_ub = int(rng.integers(0, 4)), int(rng.integers(0, 5))
-    integer = bool(rng.integers(2))
-    free = rng.random(n) < 0.3
-    c = _coefficients(rng, n, integer)
-    a_eq = _coefficients(rng, (n_eq, n), integer)
-    a_ub = _coefficients(rng, (n_ub, n), integer)
-    x0 = rng.integers(0, 3, n).astype(float)
-    x0[free] -= 1.0
-    if rng.integers(2):
-        b_eq = a_eq @ x0
-        b_ub = a_ub @ x0 + rng.integers(0, 2, n_ub)
-    else:
-        b_eq = _coefficients(rng, n_eq, integer)
-        b_ub = _coefficients(rng, n_ub, integer)
-    if rng.integers(2):  # box every variable: the program cannot be unbounded
-        box = np.vstack([np.eye(n), -np.eye(n)])
-        a_ub = np.vstack([a_ub, box])
-        b_ub = np.concatenate([b_ub, np.full(2 * n, 3.0)])
-    return LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, free=free)
 
 
 @differential
@@ -163,7 +131,7 @@ def test_domination_programs(seed, n_t, n_z, n_a, integer):
     equality at ``s = 0``, so the programs are degenerate.
     """
     rng = np.random.default_rng(seed)
-    L = _coefficients(rng, (n_t, n_a), integer)
+    L = coefficients(rng, (n_t, n_a), integer)
     e = random_markov(rng, labeled("t", n_t), labeled("z", n_z)).matrix
     g = rng.integers(n_a, size=n_z)
     profile = np.einsum("zt,tz->t", e, L[:, g])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import random_program
 
 from expcompare import ArgumentError, LinearProgram, SolverError
 from expcompare import lp
@@ -77,6 +78,14 @@ class TestFeasible:
 
     def test_simplex_nonempty(self):
         assert lp.feasible(LinearProgram([0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
+
+    def test_agrees_with_solve(self):
+        # phase one alone decides feasibility, and the answer is a plain bool
+        for seed in range(1000):
+            p = random_program(seed)
+            ok = lp.feasible(p)
+            assert type(ok) is bool
+            assert ok == (lp.solve(p).status != lp.INFEASIBLE)
 
 
 class TestValidation:
@@ -235,12 +244,19 @@ class TestPivotRule:
         assert res.pivots == (0, 4)
 
     def test_iteration_limit_message(self, monkeypatch):
-        monkeypatch.setattr(lp, "_max_iter", lambda m, n: 3)
+        monkeypatch.setattr(lp, "_max_iter", lambda m, n: 2)
         with pytest.raises(SolverError) as info:
             lp.solve(BEALE)
         assert str(info.value) == (
-            "phase two exceeded the pivot iteration limit (3 pivots on a 4x8 tableau)"
+            "phase two exceeded the pivot iteration limit (2 pivots on a 4x8 tableau)"
         )
+
+    def test_optimum_on_the_last_allowed_pivot(self, monkeypatch):
+        # Beale is optimal after exactly three phase-two pivots
+        monkeypatch.setattr(lp, "_max_iter", lambda m, n: 3)
+        res = lp.solve(BEALE)
+        _assert_beale_optimum(res)
+        assert res.pivots == (0, 3)
 
     def test_pivots_per_phase(self):
         # slack basis is feasible: no phase-one work, one entering column
@@ -269,12 +285,16 @@ class TestPivotRule:
 
 
 class TestCrashBasis:
+    @staticmethod
+    def crash(p):
+        """Starting basis and artificial count of the phase-one tableau."""
+        tab, _, basis0, _, n_struct, _ = lp._phase_one(p)
+        return list(basis0), tab.shape[1] - 1 - n_struct
+
     def test_unit_columns_replace_artificials(self):
         p = LinearProgram([1.0, 1.0, 1.0], a_eq=[[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]],
                           b_eq=[1.0, 2.0])
-        sf = lp._StandardForm(p)
-        assert sf.n_total == sf.n_struct  # no artificial column
-        assert list(sf.basis0) == [0, 1]
+        assert self.crash(p) == ([0, 1], 0)  # no artificial column
         assert lp.solve(p).pivots[0] == 0
 
     def test_lowest_index_wins_and_signs_count(self):
@@ -283,16 +303,13 @@ class TestCrashBasis:
         p = LinearProgram([0.0, 1.0, 1.0, 1.0],
                           a_eq=[[1.0, -1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]],
                           b_eq=[-1.0, 2.0])
-        sf = lp._StandardForm(p)
-        assert list(sf.basis0) == [1, 2]
-        assert sf.n_total == sf.n_struct
+        assert self.crash(p) == ([1, 2], 0)
         res = lp.solve(p)
         assert res.value == pytest.approx(3.0, abs=1e-12)
 
     def test_rows_without_unit_column_get_artificials(self):
         p = LinearProgram([1.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                           b_eq=[1.0, 0.5], a_ub=[[2.0, 1.0, 0.0]], b_ub=[-1.0])
-        sf = lp._StandardForm(p)
-        assert sf.n_total - sf.n_struct == 2  # row 0 and the negated <= row
-        assert sf.basis0[1] == 2
+        # row 0 and the negated <= row get the artificials 4 and 5
+        assert self.crash(p) == ([4, 2, 5], 2)
         assert lp.solve(p).status == lp.INFEASIBLE
