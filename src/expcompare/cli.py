@@ -129,7 +129,7 @@ def _cmd_minimax(args):
 def _cmd_reverse(args):
     e = fileio.load_experiment(args.experiment)
     pi = _resolve_prior(args.prior, e.source)
-    rev = risk.reverse(e, pi, cutoff=args.cutoff)
+    rev = risk.reverse(e, pi)
     return {
         "marginal": fileio.prior_to_object(rev.marginal),
         "posterior": {
@@ -295,7 +295,6 @@ def _conf_minimax(p):
 def _conf_reverse(p):
     p.add_argument("--experiment", required=True)
     p.add_argument("--prior", required=True)
-    p.add_argument("--cutoff", type=float, default=risk.SUPPORT_CUTOFF)
 
 
 def _conf_bias_variance(p):

@@ -152,18 +152,12 @@ class Transition:
                 f"matrix shape {m.shape} does not match "
                 f"{len(self.target)}x{len(self.source)} (target x source)"
             )
-        if not np.all(np.isfinite(m)):
-            raise ArgumentError("transition matrix contains non-finite entries")
-        low = m.min(initial=0.0)
-        if low < -EPS_TOL:
-            raise ArgumentError(f"transition matrix has negative entry {low:.6g}")
-        m = np.where(m < 0.0, 0.0, m)
+        m = _clean_weights(m, "transition matrix")
         sums = m.sum(axis=0)
-        for j, s in enumerate(sums):
-            if abs(s - 1.0) > EPS_TOL:
-                raise ArgumentError(
-                    f"column '{self.source.labels[j]}' sums to {s:.6g}"
-                )
+        off = np.abs(sums - 1.0) > EPS_TOL
+        if off.any():
+            j = int(off.argmax())
+            raise ArgumentError(f"column '{self.source.labels[j]}' sums to {sums[j]:.6g}")
         object.__setattr__(self, "matrix", _as_readonly(m / sums))
 
     def column(self, label: str) -> Distribution:

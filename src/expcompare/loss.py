@@ -19,10 +19,11 @@ that function:
 
 Membership and height queries are piecewise-linear and are answered
 exactly by one small LP each (see ``lp`` and :func:`support_gap`).  By
-LP duality the min over distributions ``P`` becomes a max over mixed
-actions, which has one constraint row per unknown and one sum row, so
-its ``(|T|+2) x (|A|+|T|+2)`` tableau grows with the actions only in
-its columns.  The minimizing ``P`` is read off the duals.
+LP duality the min over distributions ``P`` is the minimax value of a
+game over mixed actions, the epigraph program that also gives minimax
+rules (:func:`_epigraph`).  It has one row per unknown and one sum row,
+so it grows with the actions only in its columns, and the minimizing
+``P`` is read off its duals.
 
 Sign convention.  Decomposing an achievable column as
 ``col = u + mean(col) * ones`` with ``u`` zero-sum, the height satisfies
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import lp
 from .core import Distribution, LabeledSet, UnnormalizedMeasure
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, ShapeError, SolverError
 
 #: Activity tolerance: actions within this of the minimum count as Bayes.
 ACTIVE_TOL = 1e-9
@@ -149,38 +150,52 @@ def _bayes_index(L: LossMatrix, weights: np.ndarray) -> int:
     return int(np.argmin(weights @ L.values))
 
 
+def _epigraph(A: np.ndarray, sums: np.ndarray, b: np.ndarray) -> lp.LPResult:
+    """Minimize the largest entry of ``A @ x - b`` over ``x >= 0`` with ``sums @ x == 1``.
+
+    The epigraph program of a finite zero-sum game: minimize a free level
+    ``t`` subject to ``A @ x - t <= b`` and ``sums @ x == 1``.  It has one
+    ``<=`` row per row of ``A`` and one equality row per row of ``sums``,
+    so it grows with the columns of ``A`` only in the tableau's columns.
+    ``-dual_ub`` is the least favorable weighting of the rows of ``A``:
+    the ``<=`` duals are ``<= 0`` and, because the free ``t`` prices out at
+    zero, sum to ``-1`` up to pivot rounding.  The variables are ``x``
+    followed by ``t``.
+    """
+    n_rows, n = A.shape
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    free = np.zeros(n + 1, dtype=bool)
+    free[n] = True
+    res = lp.solve(
+        lp.LinearProgram(
+            c,
+            a_ub=np.hstack([A, -np.ones((n_rows, 1))]),
+            b_ub=b,
+            a_eq=np.hstack([sums, np.zeros((len(sums), 1))]),
+            b_eq=np.ones(len(sums)),
+            free=free,
+        )
+    )
+    if not res.is_optimal:  # a bounded level over a nonempty polytope
+        raise SolverError(f"epigraph program did not solve: {res.status}")
+    return res
+
+
 def support_gap(L: LossMatrix, v) -> tuple[float, np.ndarray]:
     """``min over the simplex of <P, v> - entropy(L, P)`` and a minimizer.
 
     Nonnegative exactly when ``v`` lies in the super prediction set; zero
     at some ``P`` exactly when ``v`` touches the entropy there.
 
-    Solved as the LP dual, a max over mixed actions ``lam``: maximize a
-    free ``s`` subject to ``s + (L.values @ lam)_t <= v_t`` for every
-    unknown and ``sum(lam) == 1``; the gap is the optimal ``s``.  That is
-    ``|T|`` inequality rows and one sum row, so the tableau is
-    ``(|T|+2) x (|A|+|T|+2)`` (cost row; ``lam``, the split ``s`` and the
-    slacks), plus the right-hand side and at most ``|T|+1`` artificial
-    columns: one row per unknown, not one per action.  The minimizer is
-    ``P = -dual_ub``, read off the final tableau: the ``<=`` duals are
-    ``<= 0`` and sum to ``-1`` because the free ``s`` prices out at zero.
-    Entries of ``P`` may be negative at float rounding, which
+    By LP duality the gap is minus the minimax value of the game
+    ``L.values - v`` over mixed actions, solved by :func:`_epigraph` with
+    one row per unknown; the minimizing ``P`` is its least favorable
+    weighting.  Entries of ``P`` may be negative at float rounding, which
     ``Distribution`` clamps.
     """
     arr = _vector_over(L, v, "vector")
-    n_a = len(L.actions)
-    # variables: lam (n_a, simplex) and the free level s; minimize -s
-    c = np.zeros(n_a + 1)
-    c[n_a] = -1.0
-    a_ub = np.hstack([L.values, np.ones((len(L.unknowns), 1))])
-    a_eq = np.concatenate([np.ones(n_a), [0.0]])[None, :]
-    free = np.zeros(n_a + 1, dtype=bool)
-    free[n_a] = True
-    res = lp.solve(
-        lp.LinearProgram(c, a_ub=a_ub, b_ub=arr, a_eq=a_eq, b_eq=[1.0], free=free)
-    )
-    if not res.is_optimal:  # simplex over a compact set; cannot happen
-        raise ArgumentError(f"support query did not solve: {res.status}")
+    res = _epigraph(L.values, np.ones((1, len(L.actions))), arr)
     return -float(res.value), -res.dual_ub
 
 
@@ -250,15 +265,15 @@ def action_coordinate(L: LossMatrix, action: str) -> np.ndarray:
     return -zero_sum_part(L.column(action))
 
 
-def is_achievable(L: LossMatrix, action: str, tol: float = lp.FEAS_TOL) -> bool:
+def is_achievable(L: LossMatrix, action: str) -> bool:
     """Whether the action is Bayes for some distribution.
 
     Exactly these actions have canonical coordinates: their column touches
     the entropy, i.e. ``psi`` of the column's zero-sum part equals the
-    column mean.
+    column mean within ``lp.FEAS_TOL``.
     """
     col = L.column(action)
-    return psi(L, zero_sum_part(col)) >= float(col.mean()) - tol
+    return psi(L, zero_sum_part(col)) >= float(col.mean()) - lp.FEAS_TOL
 
 
 def loss_from_entropy(L: LossMatrix, Q: Distribution) -> np.ndarray:
@@ -271,16 +286,18 @@ def loss_from_entropy(L: LossMatrix, Q: Distribution) -> np.ndarray:
     return L.values[:, _bayes_index(L, w)].copy()
 
 
-def euler_check(L: LossMatrix, mu: Weighted, tol: float = ACTIVE_TOL) -> bool:
+def euler_check(L: LossMatrix, mu: Weighted) -> bool:
     """Check the homogeneous-support identity at ``mu``.
 
     A Bayes column at ``mu`` pairs to exactly ``entropy(L, mu)``, and the
-    same column certifies the entropy at ``0.5 * mu`` and ``2 * mu``.
+    same column certifies the entropy at ``0.5 * mu`` and ``2 * mu``, each
+    within :data:`ACTIVE_TOL`.
     """
     w = _weights_over(L, mu, "measure")
     col = L.values[:, _bayes_index(L, w)]
     for lam in (1.0, 0.5, 2.0):
-        if abs(float((lam * w) @ col) - entropy(L, UnnormalizedMeasure(L.unknowns, lam * w))) > tol:
+        scaled = UnnormalizedMeasure(L.unknowns, lam * w)
+        if abs(float(scaled.weights @ col) - entropy(L, scaled)) > ACTIVE_TOL:
             return False
     return True
 

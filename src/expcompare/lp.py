@@ -56,14 +56,11 @@ def available_kernels() -> tuple[str, ...]:
     return (active_kernel(),)
 
 
-def _block(a, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce an (A, b) constraint block, allowing both to be None."""
-    a_mat, b_vec = a
-    if a_mat is None and b_vec is None:
-        return np.zeros((0, n)), np.zeros(0)
-    a_arr = np.atleast_2d(np.array(a_mat, dtype=float, copy=True))
-    b_arr = np.atleast_1d(np.array(b_vec, dtype=float, copy=True))
-    if a_arr.shape[1] != n and a_arr.size > 0:
+def _block(a, b, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce a constraint block ``a @ x <= b`` or ``== b``; a missing half has no rows."""
+    a_arr = np.zeros((0, n)) if a is None else np.atleast_2d(np.array(a, dtype=float, copy=True))
+    b_arr = np.zeros(0) if b is None else np.atleast_1d(np.array(b, dtype=float, copy=True))
+    if a_arr.shape[1] != n:
         raise ShapeError(f"{what} matrix has {a_arr.shape[1]} columns, expected {n}")
     if a_arr.shape[0] != b_arr.shape[0]:
         raise ShapeError(
@@ -90,8 +87,8 @@ class LinearProgram:
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.array(self.c, dtype=float, copy=True))
         n = c.shape[0]
-        a_ub, b_ub = _block((self.a_ub, self.b_ub), n, "upper-bound block")
-        a_eq, b_eq = _block((self.a_eq, self.b_eq), n, "equality block")
+        a_ub, b_ub = _block(self.a_ub, self.b_ub, n, "upper-bound block")
+        a_eq, b_eq = _block(self.a_eq, self.b_eq, n, "equality block")
         if self.free is None:
             free = np.zeros(n, dtype=bool)
         else:

@@ -22,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .core import Distribution, LabeledSet, Transition
+from .core import EPS_TOL, Distribution, LabeledSet, Transition
 from .errors import ArgumentError, ShapeError, SolverError
-from .loss import LossMatrix, psi, zero_sum_part
+from .loss import LossMatrix, _epigraph, psi, zero_sum_part
 
 #: Observations with marginal mass at most this are outside the support of
 #: the reversal and take action index 0 in Bayes rules.
@@ -114,11 +114,12 @@ def max_risk(L: LossMatrix, e: Transition, d: Transition) -> float:
     return float(risk_profile(L, e, d).values.max())
 
 
-def reverse(e: Transition, pi: Distribution, cutoff: float = SUPPORT_CUTOFF) -> BayesReversal:
+def reverse(e: Transition, pi: Distribution) -> BayesReversal:
     """Posterior over unknowns given each observation, with the marginal.
 
-    Observations with marginal mass at most ``cutoff`` are excluded from
-    the support and never divided by.
+    Observations with marginal mass at most :data:`SUPPORT_CUTOFF` are
+    excluded from the support and never divided by, as in
+    :func:`min_bayes_risk`.
     """
     if pi.space != e.source:
         raise ShapeError("prior space does not match experiment source")
@@ -127,7 +128,7 @@ def reverse(e: Transition, pi: Distribution, cutoff: float = SUPPORT_CUTOFF) -> 
     post = np.tile(pi.weights[:, None], (1, len(e.target)))
     support = []
     for z, mass in enumerate(marginal_w):
-        if mass > cutoff:
+        if mass > SUPPORT_CUTOFF:
             support.append(e.target.labels[z])
             post[:, z] = joint[z, :] / mass
     return BayesReversal(
@@ -137,10 +138,11 @@ def reverse(e: Transition, pi: Distribution, cutoff: float = SUPPORT_CUTOFF) -> 
     )
 
 
-def sufficiency_reduction(e: Transition, tol: float = 1e-9) -> Transition:
+def sufficiency_reduction(e: Transition) -> Transition:
     """Deterministic merge of observations that carry the same evidence.
 
-    Observations whose likelihood columns are proportional (equivalently:
+    Observations whose likelihood columns are proportional within
+    :data:`~expcompare.core.EPS_TOL` (equivalently:
     equal posteriors under every full-support prior) are mapped to one
     merged label; all-zero columns are merged together since they never
     occur.  Composing the reduction after ``e`` yields an experiment
@@ -156,7 +158,7 @@ def sufficiency_reduction(e: Transition, tol: float = 1e-9) -> Transition:
         mass = lik.sum()
         key = lik / mass if mass > 0.0 else lik
         for k, rep in enumerate(reps):
-            if np.abs(key - rep).max() <= tol:
+            if np.abs(key - rep).max() <= EPS_TOL:
                 classes[k].append(z)
                 break
         else:
@@ -223,32 +225,18 @@ def _rule_assignments(n_obs: int, n_actions: int, cap: int):
 def minimax_risk(L: LossMatrix, e: Transition) -> MinimaxResult:
     """Rule minimizing the worst-case risk, by linear programming.
 
-    Variables are the rule entries plus an epigraph level; the least
-    favorable prior is the (negated, normalized) dual vector of the
-    per-unknown level constraints.  Its Bayes risk equals the minimax
-    value up to solver tolerance.
+    The epigraph program of :func:`~expcompare.loss._epigraph` over the
+    rule entries of :func:`_rule_space`: one row per unknown and one sum
+    row per observation.  The least favorable prior is its weighting of
+    the unknowns, normalized; its Bayes risk equals the minimax value up
+    to solver tolerance.
     """
     if e.source != L.unknowns:
         raise ShapeError("experiment source does not match loss unknowns")
-    n_t, n_z, n_a = len(L.unknowns), len(e.target), len(L.actions)
-    n_d = n_z * n_a
     K, sums = _rule_space(L, e)
-    a_ub = np.hstack([K.reshape(n_t, n_d), -np.ones((n_t, 1))])
-    a_eq = np.hstack([sums, np.zeros((n_z, 1))])
-    c = np.zeros(n_d + 1)
-    c[n_d] = 1.0
-    free = np.zeros(n_d + 1, dtype=bool)
-    free[n_d] = True
-    res = lp.solve(
-        lp.LinearProgram(
-            c, a_ub=a_ub, b_ub=np.zeros(n_t), a_eq=a_eq, b_eq=np.ones(n_z), free=free
-        )
-    )
-    if not res.is_optimal:
-        raise SolverError(f"minimax program did not solve: {res.status}")
-    rule = Transition(
-        e.target, L.actions, res.primal[:n_d].reshape(n_z, n_a).T
-    )
+    n_t, n_z, n_a = K.shape
+    res = _epigraph(K.reshape(n_t, n_z * n_a), sums, np.zeros(n_t))
+    rule = Transition(e.target, L.actions, res.primal[:-1].reshape(n_z, n_a).T)
     # the free level's column makes these sum to 1 up to pivot rounding
     prior_w = np.maximum(-res.dual_ub, 0.0)
     prior = Distribution(L.unknowns, prior_w / prior_w.sum())
@@ -311,21 +299,21 @@ def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> Bi
 def _best_dominating(K: np.ndarray, sums: np.ndarray, target: np.ndarray) -> float:
     """Maximize total pointwise improvement over ``target`` among all rules.
 
-    ``K, sums`` come from :func:`_rule_space`.  Returns the total slack:
-    the largest aggregate gain of a rule that weakly beats the target
-    profile everywhere.
+    ``K, sums`` come from :func:`_rule_space`.  Minimizes the total risk
+    over the rules whose risk is at most ``target`` at every unknown, and
+    returns the total slack ``target.sum() - value``: the largest
+    aggregate gain of a rule that weakly beats the target profile
+    everywhere.  The slack of each risk row is the solver's own.
     """
-    n_t, n_z, n_a = K.shape
-    n_d = n_z * n_a
-    a_ub = np.hstack([K.reshape(n_t, n_d), np.eye(n_t)])
-    a_eq = np.hstack([sums, np.zeros((n_z, n_t))])
-    c = np.concatenate([np.zeros(n_d), -np.ones(n_t)])
+    risks = K.reshape(len(K), -1)
     res = lp.solve(
-        lp.LinearProgram(c, a_ub=a_ub, b_ub=target, a_eq=a_eq, b_eq=np.ones(n_z))
+        lp.LinearProgram(
+            risks.sum(axis=0), a_ub=risks, b_ub=target, a_eq=sums, b_eq=np.ones(len(sums))
+        )
     )
     if not res.is_optimal:
         raise SolverError(f"domination program did not solve: {res.status}")
-    return -float(res.value)
+    return float(target.sum() - res.value)
 
 
 def is_admissible(L: LossMatrix, e: Transition, d: Transition) -> bool:

@@ -346,6 +346,7 @@ class TestFlags:
         ("report", "dpi-check", "--kind", "phi", "--out", "bsc01", "--format", "machine"),
         ("sufficient", "--experiment", "bsc01", "--post", "id_rule", "--prior", "uniform",
          "--post-kind", "rule"),
+        ("reverse", "--experiment", "bsc01", "--prior", "uniform", "--cutoff", "0.5"),
     ])
     def test_unhonoured_flags_rejected(self, files, argv):
         with pytest.raises(SystemExit) as info:

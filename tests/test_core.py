@@ -95,6 +95,12 @@ class TestTransitionValidation:
         with pytest.raises(ArgumentError, match="column 'a' sums to 0.98"):
             Transition(AB, AB, [[0.88, 0.1], [0.1, 0.9]])
 
+    def test_first_bad_column_named(self):
+        with pytest.raises(ArgumentError, match="column 'b' sums to 0.9"):
+            Transition(AB, AB, [[0.9, 0.1], [0.1, 0.8]])
+        with pytest.raises(ArgumentError, match="column 'a' sums to 0.9$"):
+            Transition(AB, AB, [[0.8, 0.1], [0.1, 0.7]])
+
     def test_negative_entry_rejected(self):
         with pytest.raises(ArgumentError):
             Transition(AB, AB, [[1.1, 0.0], [-0.1, 1.0]])

@@ -30,6 +30,7 @@ from expcompare import (
     minimax_risk,
 )
 from expcompare.loss import support_gap
+from expcompare.risk import _best_dominating
 from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 
 #: linprog status codes for the three outcomes of ``lp.solve``.
@@ -125,27 +126,32 @@ def test_support_gaps_on_grids(seed, n_t, resolution, zero_sum):
 def test_domination_programs(seed, n_t, n_z, n_a, integer):
     """The degenerate LPs of admissibility and the complete class.
 
-    Over rule entries ``d(a|z)`` and slacks ``s_t``, maximize ``sum(s)``
-    subject to ``risk_t(d) + s_t <= profile_t`` of a deterministic rule
-    and ``sum_a d(a|z) == 1``.  The rule itself meets every risk row with
-    equality at ``s = 0``, so the programs are degenerate.
+    HiGHS solves the textbook form: over rule entries ``d(a|z)`` and
+    slacks ``s_t``, maximize ``sum(s)`` subject to
+    ``risk_t(d) + s_t <= profile_t`` of a deterministic rule and
+    ``sum_a d(a|z) == 1``.  The rule itself meets every risk row with
+    equality at ``s = 0``, so the programs are degenerate.  The library
+    minimizes the total risk with the slacks left to the solver
+    (``risk._best_dominating``); its total slack must be the same optimum.
     """
     rng = np.random.default_rng(seed)
     L = coefficients(rng, (n_t, n_a), integer)
     e = random_markov(rng, labeled("t", n_t), labeled("z", n_z)).matrix
     g = rng.integers(n_a, size=n_z)
     profile = np.einsum("zt,tz->t", e, L[:, g])
-    coef = np.einsum("zt,ta->tza", e, L).reshape(n_t, n_z * n_a)
+    K = np.einsum("zt,ta->tza", e, L)
+    sums = np.kron(np.eye(n_z), np.ones(n_a))
     p = LinearProgram(
         np.concatenate([np.zeros(n_z * n_a), -np.ones(n_t)]),
-        a_ub=np.hstack([coef, np.eye(n_t)]),
+        a_ub=np.hstack([K.reshape(n_t, n_z * n_a), np.eye(n_t)]),
         b_ub=profile,
-        a_eq=np.hstack([np.kron(np.eye(n_z), np.ones(n_a)), np.zeros((n_z, n_t))]),
+        a_eq=np.hstack([sums, np.zeros((n_z, n_t))]),
         b_eq=np.ones(n_z),
     )
     ours, ref = lp.solve(p), highs(p)
     assert ref.status == 0, ref.message
     assert ours.is_optimal
     assert ours.value == pytest.approx(ref.fun, abs=VALUE_TOL)
+    assert _best_dominating(K, sums, profile) == pytest.approx(-ref.fun, abs=VALUE_TOL)
     dual = float(p.b_eq @ ours.dual_eq + p.b_ub @ ours.dual_ub)
     assert dual == pytest.approx(ref.fun, abs=VALUE_TOL)

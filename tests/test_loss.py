@@ -25,7 +25,9 @@ from expcompare import (
     is_supergradient,
     log_loss_grid,
     loss_from_entropy,
+    minimax_risk,
     psi,
+    terminal,
     uniform,
     zero_one_loss,
     zero_sum_part,
@@ -226,6 +228,19 @@ class TestSupportGap:
             assert P.min() >= -1e-12
             assert P.sum() == pytest.approx(1.0, abs=1e-12)
             assert float(P @ v - (P @ L.values).min()) == pytest.approx(gap, abs=1e-12)
+
+    def test_gap_is_a_minimax_value(self):
+        # without data, the minimax risk of L - v is minus the support gap
+        # of v, and a least favorable prior attains that gap
+        rng = np.random.default_rng(46)
+        for _ in range(500):
+            L, v = _random_support_case(rng)
+            gap, _ = support_gap(L, v)
+            game = LossMatrix(L.unknowns, L.actions, L.values - v[:, None])
+            res = minimax_risk(game, terminal(L.unknowns))
+            assert gap == pytest.approx(-res.value, abs=1e-12)
+            prior = res.least_favorable_prior.weights
+            assert float(prior @ v - (prior @ L.values).min()) == pytest.approx(gap, abs=1e-12)
 
     def test_psi_on_the_39711_action_grid_within_pivot_bound(self, monkeypatch):
         grid = log_loss_grid(labeled("t", 4), 64)

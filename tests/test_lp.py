@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import random_program
 
-from expcompare import ArgumentError, LinearProgram, SolverError
+from expcompare import ArgumentError, LinearProgram, ShapeError, SolverError
 from expcompare import lp
 
 
@@ -96,6 +96,17 @@ class TestValidation:
     def test_inf_rejected(self):
         with pytest.raises(ArgumentError):
             LinearProgram([1.0], a_ub=[[np.inf]], b_ub=[1.0])
+
+    @pytest.mark.parametrize("block, match", [
+        ({"a_ub": np.zeros((0, 2)), "b_ub": np.zeros(0)}, "2 columns, expected 3"),
+        ({"a_ub": np.zeros((0, 2))}, "2 columns, expected 3"),
+        ({"a_eq": np.zeros((2, 0)), "b_eq": [0.0, 0.0]}, "0 columns, expected 3"),
+        ({"a_ub": [[1.0, 0.0, 0.0]]}, "1 rows but 0 right-hand sides"),
+        ({"b_eq": [1.0]}, "0 rows but 1 right-hand sides"),
+    ])
+    def test_block_shapes_rejected(self, block, match):
+        with pytest.raises(ShapeError, match=match):
+            LinearProgram([1.0, 1.0, 1.0], **block)
 
 
 def _random_bounded_program(rng):
