@@ -60,6 +60,11 @@ def _block(a, b, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Coerce a constraint block ``a @ x <= b`` or ``== b``; a missing half has no rows."""
     a_arr = np.zeros((0, n)) if a is None else np.atleast_2d(np.array(a, dtype=float, copy=True))
     b_arr = np.zeros(0) if b is None else np.atleast_1d(np.array(b, dtype=float, copy=True))
+    if a_arr.ndim != 2 or b_arr.ndim != 1:
+        raise ShapeError(
+            f"{what} needs a 2-d matrix and a 1-d right-hand side, "
+            f"got {a_arr.ndim}-d and {b_arr.ndim}-d"
+        )
     if a_arr.shape[1] != n:
         raise ShapeError(f"{what} matrix has {a_arr.shape[1]} columns, expected {n}")
     if a_arr.shape[0] != b_arr.shape[0]:

@@ -108,6 +108,16 @@ class TestValidation:
         with pytest.raises(ShapeError, match=match):
             LinearProgram([1.0, 1.0, 1.0], **block)
 
+    @pytest.mark.parametrize("kind", ["ub", "eq"])
+    @pytest.mark.parametrize("a, b, match", [
+        ([[1.0, 0.0], [0.0, 1.0]], [[1.0], [2.0]], "got 2-d and 2-d"),
+        (np.zeros((2, 2, 1)), [1.0, 2.0], "got 3-d and 1-d"),
+    ])
+    def test_block_dimensions_rejected(self, kind, a, b, match):
+        # a column right-hand side once built and failed inside solve
+        with pytest.raises(ShapeError, match=match):
+            LinearProgram([1.0, 1.0], **{f"a_{kind}": a, f"b_{kind}": b})
+
 
 def _random_bounded_program(rng):
     """Random LP guaranteed feasible (x=0) and bounded (c >= 0 on a box)."""

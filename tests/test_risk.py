@@ -1,3 +1,5 @@
+from itertools import product as iter_product
+
 import numpy as np
 import pytest
 from helpers import (
@@ -35,7 +37,7 @@ from expcompare import (
     uniform,
     zero_one_loss,
 )
-from expcompare import lp
+from expcompare import lp, risk
 from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 from expcompare.risk import ENUMERATION_CAP
 
@@ -46,9 +48,72 @@ ID = identity(THETA)
 UNIF = uniform(THETA)
 
 #: Seed and pivot bound of the complete-class case at the enumeration cap:
-#: 3 unknowns, 4 actions and 6 observations give 4096 rules and 8192 LPs,
-#: which take 33 712 (domination) + 10 915 (supporting prior) = 44 627 pivots.
+#: 3 unknowns, 4 actions and 6 observations give 4096 rules.  Without the
+#: screens of complete_class_check they took 8192 LPs and 44 627 pivots;
+#: with them, 156 LPs and 818 pivots.
 CAP_SEED, CAP_PIVOT_BOUND = 7, 60_000
+#: LPs that complete_class_check solves on the cap instance and on the
+#: 243-rule instance of TestCompleteClass (2 * 4096 and 2 * 243 unscreened)
+CAP_LPS, LPS_243 = 156, 78
+
+
+def _instance_243():
+    rng = np.random.default_rng(42)
+    unknowns = labeled("t", 3)
+    L = random_loss(rng, unknowns, 3, low=0.0)
+    return L, random_markov(rng, unknowns, labeled("z", 5))
+
+
+def _recording_solves(monkeypatch) -> list:
+    """Record the result of every ``lp.solve`` call from here on."""
+    results = []
+    solve = lp.solve
+
+    def recording(p):
+        results.append(solve(p))
+        return results[-1]
+
+    monkeypatch.setattr(lp, "solve", recording)
+    return results
+
+
+def _assert_matches_unscreened(L, e):
+    """The report equals one that solves both LPs of every rule."""
+    rep = complete_class_check(L, e)
+    K, sums = risk._rule_space(L, e)
+    obs = np.arange(len(e.target))
+    rules = list(iter_product(range(len(L.actions)), repeat=len(obs)))
+    assert len(rep.rules) == len(rules)
+    for g, r in zip(rules, rep.rules):
+        g = np.asarray(g)
+        profile = K[:, obs, g].sum(axis=1)
+        assert r.actions == tuple(L.actions.labels[a] for a in g)
+        np.testing.assert_array_equal(r.risk, profile)
+        assert r.admissible == (risk._best_dominating(K, sums, profile) <= lp.FEAS_TOL)
+        prior = risk._supporting_prior(L, K, g)
+        assert (r.prior is None) == (prior is None)
+        if prior is not None:
+            np.testing.assert_array_equal(r.prior.weights, prior.weights)
+    return rep
+
+
+def _screen_instance(kind: str, seed: int):
+    """A random complete-class instance with at most 64 rules."""
+    rng = np.random.default_rng(seed)
+    n_t, n_a = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    n_z = int(rng.integers(1, int(np.log(64.5) / np.log(n_a)) + 1))
+    unknowns = labeled("t", n_t)
+    if kind == "integer":
+        vals = rng.integers(0, 4, (n_t, n_a)).astype(float)
+    elif kind == "duplicate":
+        vals = rng.uniform(-1.0, 1.0, (n_t, n_a))
+        vals[:, -1] = vals[:, 0]
+    elif kind == "constant":
+        vals = np.full((n_t, n_a), 0.7)
+    else:
+        vals = rng.uniform(0.0, 1.0, (n_t, n_a))
+    L = LossMatrix(unknowns, labeled("a", n_a), vals)
+    return L, random_markov(rng, unknowns, labeled("z", n_z))
 
 
 class TestRiskProfile:
@@ -354,16 +419,15 @@ class TestCompleteClass:
         with pytest.raises(ArgumentError):
             complete_class_check(L01, BSC01, cap=3)
 
-    def test_degenerate_243_rule_instance(self):
+    def test_degenerate_243_rule_instance(self, monkeypatch):
         # losses in [0, 1]; the domination LP of the 152nd rule once
         # cycled to the pivot limit
-        rng = np.random.default_rng(42)
-        unknowns = labeled("t", 3)
-        L = random_loss(rng, unknowns, 3, low=0.0)
-        e = random_markov(rng, unknowns, labeled("z", 5))
+        L, e = _instance_243()
+        results = _recording_solves(monkeypatch)
         rep = complete_class_check(L, e)
         assert len(rep.rules) == 243
         assert rep.ok
+        assert len(results) == LPS_243
         # a supporting prior makes the rule Bayes among all 243 rules
         supported = [r for r in rep.rules if r.prior is not None]
         assert supported
@@ -385,19 +449,54 @@ class TestCompleteClass:
         unknowns = labeled("t", 3)
         L = random_loss(rng, unknowns, 4, low=0.0)
         e = random_markov(rng, unknowns, labeled("z", 6))
-        results = []
-        solve = lp.solve
-
-        def recording(p):
-            results.append(solve(p))
-            return results[-1]
-
-        monkeypatch.setattr(lp, "solve", recording)
+        results = _recording_solves(monkeypatch)
         rep = complete_class_check(L, e)
         assert len(rep.rules) == ENUMERATION_CAP
         assert rep.ok
-        assert len(results) == 2 * ENUMERATION_CAP
+        assert len(results) == CAP_LPS
         assert sum(sum(r.pivots) for r in results) <= CAP_PIVOT_BOUND
+
+    def test_screens_match_unscreened_on_243_rule_instance(self):
+        _assert_matches_unscreened(*_instance_243())
+
+    @pytest.mark.parametrize("kind", ["uniform", "integer", "duplicate", "constant"])
+    def test_screens_match_unscreened_on_random_instances(self, kind):
+        for seed in range(50):
+            _assert_matches_unscreened(*_screen_instance(kind, 3000 + seed))
+
+    @pytest.mark.parametrize("gain", [0.5e-7, 1.5e-7])
+    def test_gain_within_twice_the_tolerance_is_not_screened(self, monkeypatch, gain):
+        # a1 beats a0 by `gain` at one unknown: the domination screen
+        # leaves a0 to its LP, which calls it dominated above FEAS_TOL only
+        L = LossMatrix(THETA, LabeledSet(("a0", "a1")), [[1.0, 1.0], [1.0, 1.0 - gain]])
+        one = terminal(THETA)
+        targets = []
+        best_dominating = risk._best_dominating
+
+        def recording(K, sums, target):
+            targets.append(target.copy())
+            return best_dominating(K, sums, target)
+
+        monkeypatch.setattr(risk, "_best_dominating", recording)
+        rep = complete_class_check(L, one)
+        assert any(np.array_equal(t, [1.0, 1.0]) for t in targets)
+        assert rep.rules[0].admissible == (gain <= lp.FEAS_TOL)
+        _assert_matches_unscreened(L, one)
+
+    def test_one_observation_solves_two_lps_per_rule(self, monkeypatch):
+        # a pair's program would repeat its rule's own prior program
+        labels = LabeledSet(("a", "b", "c"))
+        results = _recording_solves(monkeypatch)
+        rep = complete_class_check(zero_one_loss(labels), terminal(labels))
+        assert all(r.admissible and r.prior is not None for r in rep.rules)
+        assert len(results) == 2 * len(rep.rules)
+
+    def test_rule_assignments_in_product_order(self):
+        rules = risk._rule_assignments(3, 4, 64)
+        np.testing.assert_array_equal(rules, list(iter_product(range(4), repeat=3)))
+        np.testing.assert_array_equal(risk._rule_assignments(40, 1, 1), np.zeros((1, 40)))
+        with pytest.raises(ArgumentError, match="65 deterministic rules exceed the cap 64"):
+            risk._rule_assignments(1, 65, 64)
 
 
 class TestSufficiencyReduction:
