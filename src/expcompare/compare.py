@@ -27,14 +27,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import lp
-from ._samplers import random_loss
-from .core import Distribution, LabeledSet, Transition, compose, uniform
+from .core import Distribution, LabeledSet, Transition, compose, deterministic, uniform
 from .errors import ArgumentError, ShapeError, SolverError
-from .loss import LossMatrix
-from .risk import ENUMERATION_CAP, _rule_assignments, min_bayes_risk
+from .risk import ENUMERATION_CAP, _bayes_values, _rule_assignments
 
 #: Divisibility / sufficiency threshold on deficiency values.
 DIVIDES_TOL = 1e-7
+
+#: Most sampled losses :func:`randomization_check` holds at once.
+RANDOMIZATION_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -159,28 +160,42 @@ def randomization_check(
     Every sampled loss is checked against that bound at slack 1e-7, and
     gaps are reported normalized by ``diam(L)``; the largest normalized
     absolute gap is then a lower bound for the symmetrized deficiency.
-    Losses are drawn with entries uniform in [-1, 1] over 2 to 4 actions,
-    reproducibly from ``seed``.
+    Losses are drawn reproducibly from ``seed`` as the stream of
+    :func:`~expcompare._samplers.random_loss`: per trial a count of 2 to
+    4 actions, then entries uniform in [-1, 1].  They are evaluated in
+    blocks of at most :data:`RANDOMIZATION_BLOCK` trials, stacked by
+    action count, with the Bayes risks of
+    :func:`~expcompare.risk.min_bayes_risk`.
     """
+    if trials < 1:
+        raise ArgumentError("trials must be at least 1")
     _check_same_source(e, e2)
     eps = directed_deficiency(e, e2, pi).value
     other = directed_deficiency(e2, e, pi).value
     xi_max = max(eps, other)
+    joints = [x.matrix * pi.weights for x in (e, e2)]
+    n_t = len(e.source)
     rng = np.random.default_rng(seed)
     violations = 0
     max_directed = -np.inf
     max_abs = 0.0
-    for _ in range(trials):
-        n_actions = int(rng.integers(2, 5))
-        L = random_loss(rng, e.source, n_actions)
-        r1 = min_bayes_risk(L, e, pi).value
-        r2 = min_bayes_risk(L, e2, pi).value
-        diam = 2.0 * L.sup_norm
-        if r1 > r2 + eps * diam + 1e-7:
-            violations += 1
-        if diam > 0.0:
-            max_directed = max(max_directed, (r1 - r2) / diam)
-            max_abs = max(max_abs, abs(r1 - r2) / diam)
+    for start in range(0, trials, RANDOMIZATION_BLOCK):
+        groups: dict[int, list[np.ndarray]] = {}
+        for _ in range(min(RANDOMIZATION_BLOCK, trials - start)):
+            n_actions = int(rng.integers(2, 5))
+            groups.setdefault(n_actions, []).append(
+                rng.uniform(-1.0, 1.0, size=(n_t, n_actions))
+            )
+        for losses in groups.values():
+            stack = np.stack(losses)
+            r1, r2 = (_bayes_values(joint, stack) for joint in joints)
+            diam = 2.0 * np.abs(stack).max(axis=(1, 2))
+            violations += int(np.count_nonzero(r1 > r2 + eps * diam + 1e-7))
+            spread = diam > 0.0
+            if spread.any():
+                gap = (r1[spread] - r2[spread]) / diam[spread]
+                max_directed = max(max_directed, float(gap.max()))
+                max_abs = max(max_abs, float(np.abs(gap).max()))
     return RandomizationReport(
         trials=trials,
         seed=seed,
@@ -224,6 +239,8 @@ def metric_check(
     """
     if len(experiments) < 1:
         raise ArgumentError("need at least one experiment")
+    if trials is not None and trials < 0:
+        raise ArgumentError("trials must be nonnegative")
     for other in experiments[1:]:
         _check_same_source(experiments[0], other)
     n = len(experiments)
@@ -277,14 +294,13 @@ def generalized_dpi(
         reproduced.matrix - e2.matrix
     ).max() > 1e-7:
         raise ArgumentError("witness does not reproduce the second experiment")
-    eye = np.eye(len(actions))
     value_e2 = np.inf
     value_e = np.inf
     for g in _rule_assignments(len(e2.target), len(actions), cap):
-        d2 = Transition(e2.target, actions, eye[:, g])
+        d2 = deterministic(e2.target, actions, g)
         value_e2 = min(value_e2, float(rho(compose(d2, e2))))
         value_e = min(value_e, float(rho(compose(compose(d2, witness), e))))
     for g in _rule_assignments(len(e.target), len(actions), cap):
-        d = Transition(e.target, actions, eye[:, g])
+        d = deterministic(e.target, actions, g)
         value_e = min(value_e, float(rho(compose(d, e))))
     return DpiValues(float(value_e), float(value_e2))

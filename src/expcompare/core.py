@@ -182,7 +182,7 @@ def uniform(space: LabeledSet) -> Distribution:
 
 
 def identity(space: LabeledSet) -> Transition:
-    return Transition(space, space, np.eye(len(space)))
+    return deterministic(space, space, np.arange(len(space)))
 
 
 def terminal(space: LabeledSet, point_label: str = "*") -> Transition:
@@ -200,6 +200,35 @@ def binary_symmetric(flip: float, labels: Sequence[str] = ("-1", "1")) -> Transi
     return Transition(space, space, [[1.0 - flip, flip], [flip, 1.0 - flip]])
 
 
+def deterministic(
+    source: LabeledSet, target: LabeledSet, index: Sequence[int] | np.ndarray
+) -> Transition:
+    """Deterministic transition sending source label ``j`` to target ``index[j]``.
+
+    ``index`` must be an integer array of shape ``(|source|,)`` with
+    entries in ``[0, |target|)``.  The 0/1 matrix it gives is exactly
+    column-stochastic, so it is stored as is, without the validation
+    pass of :class:`Transition`.
+    """
+    g = np.asarray(index)
+    if g.shape != (len(source),):
+        raise ShapeError(
+            f"index shape {g.shape} does not match source of size {len(source)}"
+        )
+    if not np.issubdtype(g.dtype, np.integer):
+        raise ArgumentError(f"index dtype {g.dtype} is not an integer type")
+    if g.min() < 0 or g.max() >= len(target):
+        raise ArgumentError(f"index entries must lie in [0, {len(target)})")
+    m = np.zeros((len(target), len(source)))
+    m[g, np.arange(len(source))] = 1.0
+    m.setflags(write=False)
+    t = object.__new__(Transition)
+    object.__setattr__(t, "source", source)
+    object.__setattr__(t, "target", target)
+    object.__setattr__(t, "matrix", m)
+    return t
+
+
 def from_function(
     source: LabeledSet,
     target: LabeledSet,
@@ -211,14 +240,14 @@ def from_function(
     labels; the result is a 0/1 column-stochastic matrix.
     """
     getter = phi.__getitem__ if isinstance(phi, Mapping) else phi
-    m = np.zeros((len(target), len(source)))
-    for j, lbl in enumerate(source.labels):
+    index = []
+    for lbl in source.labels:
         try:
             out = getter(lbl)
         except KeyError:
             raise LabelError(f"map is not defined on source label {lbl!r}") from None
-        m[target.index(out), j] = 1.0
-    return Transition(source, target, m)
+        index.append(target.index(out))
+    return deterministic(source, target, np.array(index, dtype=int))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .core import EPS_TOL, Distribution, LabeledSet, Transition
+from .core import EPS_TOL, Distribution, LabeledSet, Transition, deterministic
 from .errors import ArgumentError, ShapeError, SolverError
 from .loss import LossMatrix, _epigraph, psi, zero_sum_part
 
@@ -192,8 +192,24 @@ def min_bayes_risk(L: LossMatrix, e: Transition, pi: Distribution) -> MinBayesRe
     supported = joint.sum(axis=1) > SUPPORT_CUTOFF
     g = np.where(supported, scores.argmin(axis=1), 0)
     value = scores[supported, g[supported]].sum()
-    rule = np.eye(len(L.actions))[:, g]
-    return MinBayesResult(float(value), Transition(e.target, L.actions, rule))
+    return MinBayesResult(float(value), deterministic(e.target, L.actions, g))
+
+
+def _bayes_values(joint: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Smallest Bayes risks of ``k`` stacked losses, as :func:`min_bayes_risk`.
+
+    ``joint[z, t]`` is the joint ``pi_t e[z, t]`` and ``stack`` holds the
+    loss values as ``(k, |T|, |A|)``.  One product scores every loss;
+    each observation with marginal mass above :data:`SUPPORT_CUTOFF`
+    keeps its lowest score per loss, and the supported scores are summed
+    along a contiguous axis, in observation order, as the single-loss
+    path sums them.
+    """
+    k, n_t, n_a = stack.shape
+    scores = joint @ stack.transpose(1, 0, 2).reshape(n_t, k * n_a)
+    best = scores.reshape(len(joint), k, n_a).min(axis=2)
+    supported = joint.sum(axis=1) > SUPPORT_CUTOFF
+    return np.ascontiguousarray(best[supported].T).sum(axis=1)
 
 
 def _rule_space(L: LossMatrix, e: Transition) -> tuple[np.ndarray, np.ndarray]:

@@ -257,6 +257,30 @@ class TestCompute:
         assert payload["violations"] == 0
         assert payload["max_abs_gap"] <= payload["deficiency"] + 1e-7
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_randomization_check_rejects_meaningless_trials(self, files, capsys, trials):
+        code, out, err = run(
+            capsys,
+            "randomization-check",
+            "--from", files["bsc01"],
+            "--to", files["bsc03"],
+            "--prior", "uniform",
+            "--trials", trials,
+        )
+        assert code == 2
+        assert out == "" and "trials" in err
+
+    def test_metric_check_rejects_negative_trials(self, files, capsys):
+        code, out, err = run(
+            capsys,
+            "metric-check",
+            "--experiments", files["bsc01"], files["bsc03"],
+            "--prior", "uniform",
+            "--trials", "-2",
+        )
+        assert code == 2
+        assert out == "" and "trials" in err
+
     def test_audit_payloads_follow_their_reports(self, files, capsys):
         pair = ("--from", files["bsc01"], "--to", files["bsc03"], "--prior", "uniform")
         cases = [

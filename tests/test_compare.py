@@ -24,7 +24,9 @@ from expcompare import (
     uniform,
     zero_one_loss,
 )
-from expcompare import lp
+from expcompare import compare, lp
+from expcompare.compare import RANDOMIZATION_BLOCK
+from expcompare.risk import SUPPORT_CUTOFF
 from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 
 THETA = LabeledSet(("-1", "1"))
@@ -169,7 +171,108 @@ class TestRandomizationCheck:
         assert rep.ok
 
 
+def _reference_randomization(e, e2, pi, trials, seed):
+    """The audit one sampled loss at a time, through ``min_bayes_risk``."""
+    eps = directed_deficiency(e, e2, pi).value
+    rng = np.random.default_rng(seed)
+    violations, max_directed, max_abs = 0, -np.inf, 0.0
+    for _ in range(trials):
+        L = random_loss(rng, e.source, int(rng.integers(2, 5)))
+        r1 = min_bayes_risk(L, e, pi).value
+        r2 = min_bayes_risk(L, e2, pi).value
+        diam = 2.0 * L.sup_norm
+        if r1 > r2 + eps * diam + 1e-7:
+            violations += 1
+        if diam > 0.0:
+            max_directed = max(max_directed, (r1 - r2) / diam)
+            max_abs = max(max_abs, abs(r1 - r2) / diam)
+    return violations, max_directed, max_abs
+
+
+def _randomization_instance(rng, case):
+    n_t = 1 if case == "one_unknown" else int(rng.integers(2, 5))
+    n_z = int(rng.integers(8, 12)) if case == "many_observations" else int(rng.integers(2, 6))
+    theta = labeled("t", n_t)
+    e = random_markov(rng, theta, labeled("z", n_z))
+    e2 = random_markov(rng, theta, labeled("w", int(rng.integers(1, 6))))
+    weights = rng.dirichlet(np.ones(n_t))
+    if case == "zero_prior_weight":
+        # the unweighted unknown goes to observation 0, which the others
+        # reach with mass 1e-13 only: unsupported, but not of zero mass
+        weights[0] = 0.0
+        m = np.zeros((n_z, n_t))
+        m[0] = 1e-13
+        m[0, 0] = 1.0
+        m[rng.integers(1, n_z, n_t - 1), np.arange(1, n_t)] = 1.0 - 1e-13
+        e = Transition(theta, e.target, m)
+    pi = Distribution(theta, weights / weights.sum())
+    if case == "one_trial":
+        trials = 1
+    elif case == "across_blocks":
+        trials = int(rng.integers(RANDOMIZATION_BLOCK + 1, 2 * RANDOMIZATION_BLOCK + 2))
+    else:
+        trials = int(rng.integers(1, 60))
+    return e, e2, pi, trials
+
+
+class TestRandomizationEquivalence:
+    """The stacked audit against the per-trial reference on seeded instances."""
+
+    CASES = {
+        "one_unknown": 70,
+        "many_observations": 60,
+        "zero_prior_weight": 70,
+        "one_trial": 70,
+        "across_blocks": 3,
+        "random": 60,
+    }
+
+    @staticmethod
+    def _check(e, e2, pi, trials, seed):
+        rep = randomization_check(e, e2, pi, trials=trials, seed=seed)
+        violations, max_directed, max_abs = _reference_randomization(e, e2, pi, trials, seed)
+        assert (rep.trials, rep.seed, rep.violations) == (trials, seed, violations)
+        assert rep.epsilon == directed_deficiency(e, e2, pi).value
+        assert rep.deficiency == deficiency(e, e2, pi)
+        assert abs(rep.max_directed_gap - max_directed) <= 1e-15
+        assert abs(rep.max_abs_gap - max_abs) <= 1e-15
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_per_trial_reference(self, case):
+        rng = np.random.default_rng(9100 + list(self.CASES).index(case))
+        for _ in range(self.CASES[case]):
+            e, e2, pi, trials = _randomization_instance(rng, case)
+            if case == "zero_prior_weight":
+                assert (e.matrix * pi.weights).sum(axis=1)[0] <= SUPPORT_CUTOFF
+            self._check(e, e2, pi, trials, int(rng.integers(1 << 30)))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_small_blocks_match_per_trial_reference(self, block, monkeypatch):
+        monkeypatch.setattr(compare, "RANDOMIZATION_BLOCK", block)
+        rng = np.random.default_rng(9200 + block)
+        for _ in range(40):
+            e, e2, pi, trials = _randomization_instance(rng, "random")
+            self._check(e, e2, pi, trials, int(rng.integers(1 << 30)))
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_meaningless_trial_counts_rejected_before_any_lp(self, trials, monkeypatch):
+        def no_solve(*_):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(lp, "solve", no_solve)
+        with pytest.raises(ArgumentError):
+            randomization_check(BSC01, BSC03, UNIF, trials=trials)
+
+
 class TestMetricCheck:
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ArgumentError):
+            metric_check([BSC01, BSC03], UNIF, trials=-2)
+
+    def test_zero_trials_checks_no_triangle(self):
+        rep = metric_check([identity(THETA), BSC01, BSC03], UNIF, trials=0)
+        assert rep.triangles_checked == 0
+
     def test_named_triple(self):
         rep = metric_check([identity(THETA), BSC01, BSC03], UNIF)
         assert rep.ok

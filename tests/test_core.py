@@ -10,6 +10,7 @@ from expcompare import (
     Transition,
     binary_symmetric,
     compose,
+    deterministic,
     expect,
     from_function,
     identity,
@@ -253,3 +254,43 @@ class TestFromFunction:
     def test_partial_map_rejected(self):
         with pytest.raises(LabelError):
             from_function(AB, AB, {"a": "a"})
+
+
+class TestDeterministic:
+    def test_index_picks_one_target_per_source(self):
+        t = deterministic(ABC, AB, np.array([1, 0, 1]))
+        np.testing.assert_array_equal(t.matrix, [[0, 1, 0], [1, 0, 1]])
+        assert t.matrix.dtype == float and not t.matrix.flags.writeable
+
+    def test_same_as_validated_transition(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            source, target = labeled("z", int(rng.integers(1, 7))), labeled("a", int(rng.integers(1, 5)))
+            g = rng.integers(0, len(target), len(source))
+            t = deterministic(source, target, g)
+            ref = Transition(source, target, np.eye(len(target))[:, g])
+            assert (t.source, t.target) == (ref.source, ref.target)
+            np.testing.assert_array_equal(t.matrix, ref.matrix)
+
+    def test_identity_and_from_function_keep_their_matrices(self):
+        assert np.array_equal(identity(ABC).matrix, Transition(ABC, ABC, np.eye(3)).matrix)
+        assert not identity(ABC).matrix.flags.writeable
+        t = from_function(ABC, AB, {"a": "b", "b": "a", "c": "b"})
+        np.testing.assert_array_equal(t.matrix, [[0, 1, 0], [1, 0, 1]])
+
+    @pytest.mark.parametrize(
+        "index, error",
+        [
+            (np.array([0, 1]), ShapeError),
+            (np.array([[0, 1, 0]]), ShapeError),
+            (np.array(0), ShapeError),
+            (np.array([0.0, 1.0, 0.0]), ArgumentError),
+            (np.array([True, False, True]), ArgumentError),
+            (np.array([0, -1, 0]), ArgumentError),
+            (np.array([0, 2, 0]), ArgumentError),
+        ],
+        ids=["short", "two_d", "scalar", "float", "bool", "negative", "out_of_range"],
+    )
+    def test_bad_index_rejected(self, index, error):
+        with pytest.raises(error):
+            deterministic(ABC, AB, index)

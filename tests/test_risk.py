@@ -276,6 +276,28 @@ class TestMinBayesRisk:
         np.testing.assert_array_equal(res.rule.matrix[:, 2:], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         assert res.value == pytest.approx(brute_force_min_bayes_risk(L, e, pi), abs=1e-13)
 
+    def test_rule_is_the_validated_one_hot_transition(self):
+        rng = np.random.default_rng(63)
+        for _ in range(30):
+            L = random_loss(rng, labeled("t", 3), int(rng.integers(1, 5)))
+            e = random_experiment(rng, 3, int(rng.integers(1, 6)))
+            rule = min_bayes_risk(L, e, random_distribution(rng, e.source)).rule
+            ref = Transition(e.target, L.actions, np.eye(len(L.actions))[:, rule.matrix.argmax(axis=0)])
+            assert (rule.source, rule.target) == (ref.source, ref.target)
+            np.testing.assert_array_equal(rule.matrix, ref.matrix)
+            assert not rule.matrix.flags.writeable
+
+    def test_stacked_values_match_one_loss_at_a_time(self):
+        rng = np.random.default_rng(64)
+        for _ in range(30):
+            unknowns = labeled("t", int(rng.integers(1, 5)))
+            e = random_markov(rng, unknowns, labeled("z", int(rng.integers(1, 10))))
+            pi = random_distribution(rng, unknowns)
+            losses = [random_loss(rng, unknowns, 3) for _ in range(int(rng.integers(1, 20)))]
+            values = risk._bayes_values(e.matrix * pi.weights, np.stack([L.values for L in losses]))
+            expected = [min_bayes_risk(L, e, pi).value for L in losses]
+            np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-15)
+
 
 class TestMinimax:
     def test_bsc_value_and_prior_property(self):
