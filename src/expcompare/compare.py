@@ -59,34 +59,57 @@ def directed_deficiency(e: Transition, e2: Transition, pi: Distribution) -> Defi
     with one equality ``pi_j ([F E]_ij - E2_ij) = P_ij - Q_ij``.  The
     optimum of ``sum(P + Q)`` is the prior-weighted ``l1`` gap, reported
     halved to match the ``V = 0.5 * l1`` convention.  Zero (up to
-    tolerance) exactly when ``e`` divides ``e2``.  The ``Q`` columns are
-    unit columns with nonnegative right-hand sides, so they form the
-    starting basis of their rows and only the ``|Z|`` column-sum rows of
-    ``F`` need artificial columns.
+    tolerance) exactly when ``e`` divides ``e2``.
+
+    The program starts at a feasible vertex: the deterministic
+    post-processing ``k -> r[k]``, where ``r[k]`` is the outcome ``i``
+    with the largest joint overlap ``sum_j E2_ij pi_j E_kj`` (lowest index
+    on ties).  Each ``F[r[k], k]`` is substituted by
+    ``1 - sum_{i != r[k]} F[i, k]``, so the column sums become the ``<=``
+    rows ``sum_{i != r[k]} F[i, k] <= 1``, each with its own slack, and
+    every gap row has a unit column (``Q``, or ``P`` where the right-hand
+    side ``pi_j (E2 - R E)_ij`` is negative, ``R`` being the 0/1 matrix
+    of ``k -> r[k]``).  Phase one therefore needs no artificial column
+    and takes no pivot.  The witness row ``r[k]`` is rebuilt as one minus
+    the rest of its column.
     """
     _check_same_source(e, e2)
     if pi.space != e.source:
         raise ShapeError("prior space does not match experiment source")
     e_mat, e2_mat, pw = e.matrix, e2.matrix, pi.weights
-    n_o = len(e.target)
-    n_o2 = len(e2.target)
-    n_m = n_o2 * len(e.source)
-    n_f = n_o2 * n_o
+    n_o, n_t = e_mat.shape
+    n_o2 = e2_mat.shape[0]
+    n_m = n_o2 * n_t
+    joint = (e_mat * pw).T  # joint[j, k] = pi_j E_kj
+    start = (e2_mat @ joint).argmax(axis=0)  # r[k]
+    vertex = np.zeros((n_o2, n_o))
+    vertex[start, np.arange(n_o)] = 1.0
+    # the free entries F[i, k], i != r[k], row-major over e2's outcomes
+    rows, obs = np.nonzero(vertex == 0.0)
+    n_f = rows.size
 
-    # columns [P, Q, F]; row i * |T| + j is the entry (i, j) of e2, then
-    # one row per observation k of e: sum_i F[i, k] = 1
+    # columns [P, Q, F free]; row i * |T| + j is the entry (i, j) of e2.
+    # F[i, k] adds pi_j E_kj to the rows of outcome i and takes it from
+    # the rows of r[k], whose entry absorbs the rest of column k.
     eye = np.eye(n_m)
-    a_gap = np.hstack([-eye, eye, np.kron(np.eye(n_o2), (e_mat * pw).T)])
-    a_sum = np.hstack([np.zeros((n_o, 2 * n_m)), np.tile(np.eye(n_o), n_o2)])
-    b_eq = np.concatenate([(e2_mat * pw).ravel(), np.ones(n_o)])
+    moved = joint[:, obs].T
+    gap = np.zeros((n_o2, n_t, n_f))
+    gap[rows, :, np.arange(n_f)] = moved
+    gap[start[obs], :, np.arange(n_f)] = -moved
+    a_gap = np.hstack([-eye, eye, gap.reshape(n_m, n_f)])
+    b_gap = e2_mat * pw - vertex @ joint.T
+    # one row per observation k of e: sum_{i != r[k]} F[i, k] <= 1
+    a_sum = np.hstack([np.zeros((n_o, 2 * n_m)), np.equal.outer(np.arange(n_o), obs)])
     c = np.concatenate([np.ones(2 * n_m), np.zeros(n_f)])
-    res = lp.solve(lp.LinearProgram(c, a_eq=np.vstack([a_gap, a_sum]), b_eq=b_eq))
+    res = lp.solve(lp.LinearProgram(
+        c, a_ub=a_sum, b_ub=np.ones(n_o), a_eq=a_gap, b_eq=b_gap.ravel()
+    ))
     if not res.is_optimal:
         raise SolverError(f"deficiency program did not solve: {res.status}")
-    witness = Transition(
-        e.target, e2.target, res.primal[2 * n_m:].reshape(n_o2, n_o)
-    )
-    return DeficiencyResult(0.5 * float(res.value), witness)
+    f = np.zeros((n_o2, n_o))
+    f[rows, obs] = res.primal[2 * n_m:]
+    f[start, np.arange(n_o)] = 1.0 - f.sum(axis=0)
+    return DeficiencyResult(0.5 * float(res.value), Transition(e.target, e2.target, f))
 
 
 def divides(

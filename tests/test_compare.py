@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from helpers import grid_oracle_2x2, highs_directed_deficiency, random_experiment
+from hypothesis import given, settings, strategies as st
 
 from expcompare import (
     ArgumentError,
     Distribution,
     LabeledSet,
+    LossMatrix,
     Transition,
     binary_symmetric,
     compose,
@@ -372,31 +374,32 @@ class TestSufficient:
 
 
 #: Seed, size and pivot bound of the large deficiency regression case:
-#: |T| = |Z| = |W| = 20 takes 96 + 510 pivots.
+#: |T| = |Z| = |W| = 20 takes 0 + 469 pivots.
 LARGE_SEED, LARGE_SIZE, LARGE_PIVOT_BOUND = 20, 20, 1000
 #: Seed, size and pivot bound of the divisible regression pair F.e: every
-#: basic gap variable sits at 0, and the pair takes 67 + 258 pivots.
+#: basic gap variable sits at 0, and the pair takes 0 + 244 pivots.
 DIVISIBLE_SEED, DIVISIBLE_SIZE, DIVISIBLE_PIVOT_BOUND = 232, 12, 1000
 
 
 def _recorded_deficiency(e, e2, pi):
-    """``directed_deficiency(e, e2, pi)`` and the results of the LPs it solved."""
-    results = []
+    """``directed_deficiency(e, e2, pi)``, the one LP it solved and that LP's result."""
+    solved = []
     solve = lp.solve
 
     def recording(p):
-        results.append(solve(p))
-        return results[-1]
+        solved.append((p, solve(p)))
+        return solved[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "solve", recording)
         res = directed_deficiency(e, e2, pi)
-    return res, results
+    assert len(solved) == 1
+    return res, *solved[0]
 
 
 @pytest.fixture(scope="module")
 def large_deficiency():
-    """One size-20 directed deficiency with the pivots of its LP."""
+    """One size-20 directed deficiency with its LP and that LP's result."""
     rng = np.random.default_rng(LARGE_SEED)
     theta = labeled("t", LARGE_SIZE)
     e = random_markov(rng, theta, labeled("z", LARGE_SIZE))
@@ -407,14 +410,14 @@ def large_deficiency():
 
 class TestLargeDeficiency:
     def test_within_pivot_bound(self, large_deficiency):
-        *_, res, results = large_deficiency
-        assert len(results) == 1 and results[0].is_optimal
-        assert sum(results[0].pivots) <= LARGE_PIVOT_BOUND
+        *_, res, _, result = large_deficiency
+        assert result.is_optimal
+        assert sum(result.pivots) <= LARGE_PIVOT_BOUND
         assert 0.0 < res.value < 1.0
 
     def test_matches_highs(self, large_deficiency):
         pytest.importorskip("scipy")
-        e, e2, pi, res, _ = large_deficiency
+        e, e2, pi, res, *_ = large_deficiency
         oracle = highs_directed_deficiency(e.matrix, e2.matrix, pi.weights)
         assert res.value == pytest.approx(oracle, abs=1e-9)
         gap = np.abs(res.witness.matrix @ e.matrix - e2.matrix) @ pi.weights
@@ -428,10 +431,64 @@ class TestDivisiblePair:
         e = random_markov(rng, theta, labeled("z", DIVISIBLE_SIZE))
         f = random_markov(rng, e.target, labeled("w", DIVISIBLE_SIZE))
         e2 = compose(f, e)
-        res, results = _recorded_deficiency(e, e2, uniform(theta))
-        assert len(results) == 1 and results[0].is_optimal
-        assert sum(results[0].pivots) <= DIVISIBLE_PIVOT_BOUND
+        res, _, result = _recorded_deficiency(e, e2, uniform(theta))
+        assert result.is_optimal
+        assert sum(result.pivots) <= DIVISIBLE_PIVOT_BOUND
         assert divides(e, e2)[0]
         pytest.importorskip("scipy")
         oracle = highs_directed_deficiency(e.matrix, e2.matrix, uniform(theta).weights)
         assert res.value == pytest.approx(oracle, abs=1e-9)
+
+
+
+def _feasible_start_pairs():
+    rng = np.random.default_rng(80)
+    theta = labeled("t", 4)
+    e = random_markov(rng, theta, labeled("z", 5))
+    f = random_markov(rng, e.target, labeled("w", 3))
+    return {
+        "random": (e, random_markov(rng, theta, labeled("w", 6))),
+        "divisible": (e, compose(f, e)),
+        "one outcome": (e, terminal(theta)),
+        "one observation": (terminal(theta), random_markov(rng, theta, labeled("w", 3))),
+    }
+
+
+FEASIBLE_START_PAIRS = _feasible_start_pairs()
+
+
+class TestFeasibleStart:
+    """The deficiency LP starts at the vertex ``k -> r[k]``: phase one is empty."""
+
+    @pytest.mark.parametrize("e, e2", FEASIBLE_START_PAIRS.values(), ids=FEASIBLE_START_PAIRS)
+    def test_no_artificial_column_and_no_phase_one_pivot(self, e, e2):
+        pi = random_distribution(np.random.default_rng(81), e.source)
+        res, program, result = _recorded_deficiency(e, e2, pi)
+        tab, *_, n_struct, _ = lp._phase_one(program)
+        assert tab.shape[1] - 1 == n_struct  # no artificial column
+        assert result.is_optimal and result.pivots[0] == 0
+        oracle = 0.5 * (np.abs(res.witness.matrix @ e.matrix - e2.matrix) @ pi.weights).sum()
+        assert res.value == pytest.approx(oracle, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 4))
+def test_gap_duals_certify_the_deficiency(seed, n_t, n_z, n_w, case):
+    """The duals ``y`` of the gap rows give a loss ``L[t, w] = -y[w, t]``
+    whose Bayes-risk gap is twice the deficiency: the program's optimum is
+    attained by a loss with ``|L| <= 1``.  One case in five is divisible."""
+    rng = np.random.default_rng(seed)
+    theta = labeled("t", n_t)
+    e = random_markov(rng, theta, labeled("z", n_z))
+    if case == 0:
+        e2 = compose(random_markov(rng, e.target, labeled("w", n_w)), e)
+    else:
+        e2 = random_markov(rng, theta, labeled("w", n_w))
+    pi = random_distribution(rng, theta)
+    res, _, result = _recorded_deficiency(e, e2, pi)
+    y = result.dual_eq[: n_w * n_t].reshape(n_w, n_t)
+    assert np.abs(y).max() <= 1.0 + 1e-12
+    L = LossMatrix(theta, e2.target, -y.T)
+    gap = min_bayes_risk(L, e, pi).value - min_bayes_risk(L, e2, pi).value
+    assert gap == pytest.approx(2.0 * res.value, abs=1e-12)

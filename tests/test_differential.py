@@ -81,6 +81,13 @@ def test_deficiency_programs(seed, n_t, n_z, n_w, divisible):
     res = directed_deficiency(e, e2, pi)
     oracle = highs_directed_deficiency(e.matrix, e2.matrix, pi.weights)
     assert res.value == pytest.approx(oracle, abs=VALUE_TOL)
+    # the witness, with its row r[k] rebuilt from the column sums, is
+    # column-stochastic and attains the value
+    w = res.witness.matrix
+    assert w.min() >= 0.0
+    np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
+    gap = 0.5 * pi.weights @ np.abs(w @ e.matrix - e2.matrix).sum(axis=0)
+    assert gap == pytest.approx(res.value, abs=VALUE_TOL)
 
 
 @differential
