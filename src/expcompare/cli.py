@@ -158,8 +158,7 @@ def _cmd_bias_variance(args):
 def _cmd_divides(args):
     e = fileio.load_experiment(args.from_path)
     e2 = fileio.load_experiment(args.to_path)
-    tol = compare.DIVIDES_TOL if args.tol is None else args.tol
-    ok, witness = compare.divides(e, e2, tol=tol)
+    ok, witness = compare.divides(e, e2, tol=args.tol)
     payload = {"divides": ok}
     if witness is not None:
         payload["witness"] = fileio.rule_to_object(witness)
@@ -188,8 +187,7 @@ def _cmd_sufficient(args):
     pi = _resolve_prior(args.prior, e.source)
     # e divides f.e by construction, so the deficiency is the reverse value
     value = compare.directed_deficiency(core.compose(f, e), e, pi).value
-    tol = compare.DIVIDES_TOL if args.tol is None else args.tol
-    ok = value <= tol
+    ok = value <= args.tol
     return {"sufficient": ok, "deficiency": value}, 0 if ok else 1
 
 
@@ -269,7 +267,7 @@ def _add_units(p: argparse.ArgumentParser) -> None:
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None, help="override decision tolerance")
+    p.add_argument("--tol", type=float, default=compare.DIVIDES_TOL, help="decision tolerance")
 
 
 def _conf_validate(p):
@@ -339,11 +337,7 @@ def _conf_mutual_info(p):
 
 
 def _conf_dpi_check(p):
-    p.add_argument(
-        "--kind",
-        choices=("variational", "phi", "mutual_information", "risk_gap"),
-        required=True,
-    )
+    p.add_argument("--kind", choices=divergence.DPI_KINDS, required=True)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
 

@@ -34,6 +34,9 @@ DPI_SLACK = 1e-9
 
 _CONVEXITY_GRID = np.linspace(0.0, 4.0, 33)
 
+#: The monotonicity laws :func:`dpi_check` samples.
+DPI_KINDS = ("variational", "phi", "mutual_information", "risk_gap")
+
 
 @dataclass(frozen=True)
 class PhiSpec:
@@ -164,7 +167,7 @@ def dpi_check(kind: str, trials: int, seed: int = 0) -> DpiReport:
     """
     if trials < 1:
         raise ArgumentError("trials must be at least 1")
-    if kind not in ("variational", "phi", "mutual_information", "risk_gap"):
+    if kind not in DPI_KINDS:
         raise ArgumentError(f"unknown dpi kind {kind!r}")
     rng = np.random.default_rng(seed)
     kl = PhiSpec.kl() if kind == "phi" else None

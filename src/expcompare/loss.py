@@ -115,10 +115,7 @@ def _weights_over(L: LossMatrix, mu: Weighted | np.ndarray, what: str) -> np.nda
         if mu.space != L.unknowns:
             raise ShapeError(f"{what} lives on a different space than the loss")
         return mu.weights
-    arr = np.atleast_1d(np.asarray(mu, dtype=float))
-    if arr.shape != (len(L.unknowns),):
-        raise ShapeError(f"{what} has shape {arr.shape}, expected ({len(L.unknowns)},)")
-    return arr
+    return _vector_over(L, mu, what)
 
 
 def _vector_over(L: LossMatrix, v, what: str) -> np.ndarray:
@@ -209,8 +206,7 @@ def is_supergradient(L: LossMatrix, v, mu: Weighted) -> bool:
     """Whether ``v`` supports the entropy from above and touches it at ``mu``."""
     arr = _vector_over(L, v, "vector")
     w = _weights_over(L, mu, "measure")
-    gap, _ = support_gap(L, arr)
-    if gap < -ACTIVE_TOL:
+    if not in_super_prediction_set(L, arr):
         return False
     return abs(float(w @ arr) - entropy(L, mu)) <= lp.FEAS_TOL
 

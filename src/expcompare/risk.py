@@ -7,10 +7,11 @@ the pointwise profile this module provides Bayesian and worst-case
 aggregates, the posterior reversal of an experiment, exact optimal rules
 (Bayes from the joint scores, one observation at a time, minimax via an
 LP with the least favorable prior read off the duals), a bias/variance
-split of the pointwise risk in canonical coordinates, and admissibility
-checks with supporting-prior extraction for the deterministic rules of a
-finite instance, from the per-observation Bayes conditions (Bayes risk
-separates over observations).
+split of the pointwise risk of any rule, deterministic or randomized, in
+canonical coordinates, and admissibility checks with supporting-prior
+extraction for the deterministic rules of a finite instance, from the
+per-observation Bayes conditions (Bayes risk separates over
+observations).
 """
 
 from __future__ import annotations
@@ -124,16 +125,13 @@ def reverse(e: Transition, pi: Distribution) -> BayesReversal:
         raise ShapeError("prior space does not match experiment source")
     joint = e.matrix * pi.weights[None, :]  # joint[z, theta]
     marginal_w = joint.sum(axis=1)
+    supported = marginal_w > SUPPORT_CUTOFF
     post = np.tile(pi.weights[:, None], (1, len(e.target)))
-    support = []
-    for z, mass in enumerate(marginal_w):
-        if mass > SUPPORT_CUTOFF:
-            support.append(e.target.labels[z])
-            post[:, z] = joint[z, :] / mass
+    np.divide(joint.T, marginal_w, out=post, where=supported)
     return BayesReversal(
         marginal=Distribution(e.target, marginal_w),
         posterior=Transition(e.target, e.source, post),
-        support=tuple(support),
+        support=tuple(z for z, s in zip(e.target.labels, supported) if s),
     )
 
 
@@ -260,38 +258,28 @@ def minimax_risk(L: LossMatrix, e: Transition) -> MinimaxResult:
     return MinimaxResult(float(res.value), rule, prior)
 
 
-def _selected_actions(d: Transition) -> list[int]:
-    """Indices of the action chosen at each observation; rejects randomized rules."""
-    sel = []
-    for z, lbl in enumerate(d.source.labels):
-        col = d.matrix[:, z]
-        a = int(np.argmax(col))
-        if col[a] < 1.0 - 1e-9:
-            raise ArgumentError(
-                f"rule is randomized at observation '{lbl}'; "
-                "decompose it into deterministic rules first"
-            )
-        sel.append(a)
-    return sel
-
-
 def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> BiasVariance:
-    """Split the pointwise risk of a deterministic rule at ``theta``.
+    """Split the pointwise risk of any rule, deterministic or randomized, at ``theta``.
 
-    In zero-sum coordinates the selected columns average to a single
-    coordinate; the bias is the canonical loss of that average and the
-    variance is the Jensen gap of the height function, so
-    ``bias + variance`` equals the risk at ``theta`` and the variance is
-    nonnegative.  Every selected action must be Bayes-achievable (else it
-    has no canonical coordinate and the split is undefined).
+    The risk is linear in the rule: entry ``d(a|z) > 0`` weighs action
+    ``a`` by ``w = e[z, theta] * d(a|z)``.  In zero-sum coordinates the
+    weighted columns average to a single coordinate ``avg``; the bias is
+    the canonical loss of that average and the variance is the Jensen gap
+    of the (convex) height function, so ``bias + variance`` equals the
+    risk at ``theta`` and the variance is nonnegative.  Every action the
+    rule uses must be Bayes-achievable (else it has no canonical
+    coordinate and the split is undefined).  The entries are summed in
+    observation order; for a deterministic rule each weight is exactly
+    ``e[z, theta]``.
     """
     _check_pair(L, e, d)
     ti = L.unknowns.index(theta)
-    sel = _selected_actions(d)
-    weights = e.matrix[:, ti]
+    obs, acts = np.nonzero(d.matrix.T)
+    weights = e.matrix[obs, ti] * d.matrix[acts, obs]
+    acts = acts.tolist()
     heights: dict[int, float] = {}
     parts: dict[int, np.ndarray] = {}
-    for a in set(sel):
+    for a in set(acts):
         col = L.values[:, a]
         parts[a] = zero_sum_part(col)
         heights[a] = psi(L, parts[a])
@@ -303,9 +291,9 @@ def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> Bi
             )
     avg = np.zeros(len(L.unknowns))
     expected_height = 0.0
-    for z, a in enumerate(sel):
-        avg += weights[z] * parts[a]
-        expected_height += weights[z] * heights[a]
+    for w, a in zip(weights.tolist(), acts):
+        avg += w * parts[a]
+        expected_height += w * heights[a]
     # canonical_loss(L, theta, -avg) == avg[ti] + psi(L, avg), one LP fewer
     height = psi(L, avg)
     bias = avg[ti] + height

@@ -78,21 +78,38 @@ def highs_support_gap(L: LossMatrix, v) -> float:
     return res.fun
 
 
-def random_canonical_setup(rng, n_unknowns=2, n_obs=2, n_actions=3):
-    """Random loss/experiment/deterministic-rule triple whose rule only
-    selects Bayes-achievable actions (so canonical coordinates exist)."""
+def _loss_with_achievable_actions(rng, n_unknowns, n_actions):
+    """Random loss with at least one Bayes-achievable action, and those actions."""
     while True:
-        unknowns = labeled("t", n_unknowns)
-        L = random_loss(rng, unknowns, n_actions)
+        L = random_loss(rng, labeled("t", n_unknowns), n_actions)
         achievable = [
             i for i, a in enumerate(L.actions.labels) if is_achievable(L, a)
         ]
-        if not achievable:
-            continue
-        e = random_markov(rng, unknowns, labeled("z", n_obs))
-        assignment = [achievable[int(rng.integers(len(achievable)))] for _ in range(n_obs)]
-        d = rule_from_assignment(e.target, L.actions, assignment)
-        return L, e, d
+        if achievable:
+            return L, achievable
+
+
+def random_canonical_setup(rng, n_unknowns=2, n_obs=2, n_actions=3):
+    """Random loss/experiment/deterministic-rule triple whose rule only
+    selects Bayes-achievable actions (so canonical coordinates exist)."""
+    L, achievable = _loss_with_achievable_actions(rng, n_unknowns, n_actions)
+    e = random_markov(rng, L.unknowns, labeled("z", n_obs))
+    assignment = [achievable[int(rng.integers(len(achievable)))] for _ in range(n_obs)]
+    d = rule_from_assignment(e.target, L.actions, assignment)
+    return L, e, d
+
+
+def random_randomized_setup(rng, n_unknowns=2, n_obs=2, n_actions=3):
+    """Random loss/experiment/randomized-rule triple: each observation
+    mixes a random nonempty subset of the Bayes-achievable actions."""
+    L, achievable = _loss_with_achievable_actions(rng, n_unknowns, n_actions)
+    e = random_markov(rng, L.unknowns, labeled("z", n_obs))
+    m = np.zeros((n_actions, n_obs))
+    for z in range(n_obs):
+        used = rng.choice(achievable, size=int(rng.integers(1, len(achievable) + 1)),
+                          replace=False)
+        m[used, z] = rng.dirichlet(np.ones(len(used)))
+    return L, e, Transition(e.target, L.actions, m)
 
 
 def random_experiment(rng, n_unknowns, n_obs):

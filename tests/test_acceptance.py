@@ -10,6 +10,7 @@ from helpers import (
     grid_oracle_2x2,
     random_canonical_setup,
     random_experiment,
+    random_randomized_setup,
 )
 
 from expcompare import (
@@ -161,9 +162,22 @@ def test_criterion_06_bias_variance_decomposition():
         pointwise = risk_profile(L, e, d)[theta]
         worst_sum = max(worst_sum, abs(res.bias + res.variance - pointwise))
         min_variance = min(min_variance, res.variance)
+    for _ in range(50):
+        L, e, d = random_randomized_setup(
+            rng,
+            n_unknowns=int(rng.integers(2, 4)),
+            n_obs=int(rng.integers(2, 4)),
+            n_actions=int(rng.integers(2, 5)),
+        )
+        theta = L.unknowns.labels[int(rng.integers(len(L.unknowns)))]
+        res = bias_variance(L, e, d, theta)
+        pointwise = risk_profile(L, e, d)[theta]
+        worst_sum = max(worst_sum, abs(res.bias + res.variance - pointwise))
+        min_variance = min(min_variance, res.variance)
     _report(
         6,
-        "bias + variance reproduces the pointwise risk, variance nonnegative (50 instances)",
+        "bias + variance reproduces the pointwise risk, variance nonnegative "
+        "(50 deterministic and 50 randomized rules)",
         worst_sum <= 1e-7 and min_variance >= -1e-9,
         f"max |sum - risk| = {worst_sum:.2g}, min variance = {min_variance:.2g}",
     )

@@ -39,6 +39,10 @@ def files(tmp_path):
             "id_rule.json",
             {"outcomes": THETA, "actions": THETA, "matrix": [[1.0, 0.0], [0.0, 1.0]]},
         ),
+        "mixed_rule": write(
+            "mixed_rule.json",
+            {"outcomes": THETA, "actions": THETA, "matrix": [[0.6, 0.3], [0.4, 0.7]]},
+        ),
         "bad_column": write(
             "bad.json",
             {"theta": THETA, "outcomes": THETA, "matrix": [[0.88, 0.1], [0.1, 0.9]]},
@@ -171,6 +175,22 @@ class TestCompute:
         )
         payload = json.loads(out)
         assert payload["bias"] + payload["variance"] == pytest.approx(payload["risk"], abs=1e-7)
+
+    def test_bias_variance_of_a_randomized_rule(self, files, capsys):
+        code, out, _ = run(
+            capsys,
+            "bias-variance",
+            "--experiment", files["bsc01"],
+            "--loss", files["zeroone"],
+            "--rule", files["mixed_rule"],
+            "--theta", "1",
+            "--format", "machine",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        # risk at "1": 0.1 * 0.6 + 0.9 * 0.3 on the wrong action "-1"
+        assert payload["risk"] == pytest.approx(0.33, abs=1e-12)
+        assert payload["bias"] + payload["variance"] == pytest.approx(payload["risk"], abs=1e-12)
 
     def test_divergence_variational(self, files, capsys, tmp_path):
         p = tmp_path / "p.json"

@@ -126,6 +126,13 @@ class TestSupergradient:
         # at (0.9, 0.1) the action "1" is strictly worse
         assert not is_supergradient(L01, L01.column("1"), dist([0.9, 0.1]))
 
+    def test_membership_at_the_solver_tolerance(self):
+        # below the entropy by 5e-8: inside lp.FEAS_TOL, so a member, and it
+        # touches the entropy at the uniform weights within that tolerance
+        v = np.array([0.5, 0.5]) - 5e-8
+        assert in_super_prediction_set(L01, v)
+        assert is_supergradient(L01, v, uniform(THETA))
+
 
 class TestSuperPredictionSet:
     def test_columns_belong(self):

@@ -7,6 +7,7 @@ from helpers import (
     deterministic_rules,
     random_canonical_setup,
     random_experiment,
+    random_randomized_setup,
     rule_from_assignment,
 )
 
@@ -30,12 +31,14 @@ from expcompare import (
     min_bayes_risk,
     minimax_risk,
     point_mass,
+    psi,
     reverse,
     risk_profile,
     sufficiency_reduction,
     terminal,
     uniform,
     zero_one_loss,
+    zero_sum_part,
 )
 from expcompare import lp, risk
 from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
@@ -352,10 +355,50 @@ class TestBiasVariance:
         res = bias_variance(L01, BSC01, ID, "-1")
         assert res.bias + res.variance == pytest.approx(0.1, abs=1e-9)
 
-    def test_randomized_rule_rejected(self):
-        randomized = Transition(THETA, THETA, [[0.6, 0.3], [0.4, 0.7]])
-        with pytest.raises(ArgumentError):
-            bias_variance(L01, BSC01, randomized, "-1")
+    def test_randomized_rules_split_their_risk(self):
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            L, e, d = random_randomized_setup(
+                rng,
+                n_unknowns=int(rng.integers(2, 5)),
+                n_obs=int(rng.integers(1, 5)),
+                n_actions=int(rng.integers(2, 6)),
+            )
+            for ti, theta in enumerate(L.unknowns.labels):
+                res = bias_variance(L, e, d, theta)
+                pointwise = np.einsum("zt,ta,az->t", e.matrix, L.values, d.matrix)[ti]
+                assert abs(res.bias + res.variance - pointwise) <= 1e-12
+                assert res.variance >= -1e-12
+
+    def test_weight_on_unachievable_action_raises(self):
+        # "never" is beaten by both Bayes actions everywhere; the rule puts
+        # weight on it only at "z1", which has probability 0 under "1"
+        L = LossMatrix(THETA, LabeledSet(("-1", "1", "never")),
+                       [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
+        e = Transition(THETA, labeled("z", 3), [[0.9, 0.1], [0.1, 0.0], [0.0, 0.9]])
+        d = Transition(e.target, L.actions,
+                       [[1.0, 0.75, 0.0], [0.0, 0.0, 1.0], [0.0, 0.25, 0.0]])
+        with pytest.raises(ArgumentError, match="'never' is never Bayes"):
+            bias_variance(L, e, d, "1")
+
+    def test_deterministic_rule_matches_observation_loop(self):
+        rng = np.random.default_rng(60)
+        for _ in range(25):
+            L, e, d = random_canonical_setup(
+                rng, n_unknowns=int(rng.integers(2, 5)), n_obs=int(rng.integers(1, 5)),
+                n_actions=int(rng.integers(2, 6)),
+            )
+            ti = int(rng.integers(len(L.unknowns)))
+            # the reference: one term per observation, in observation order
+            parts = [zero_sum_part(L.values[:, a]) for a in d.matrix.argmax(axis=0)]
+            avg = np.zeros(len(L.unknowns))
+            expected_height = 0.0
+            for z, part in enumerate(parts):
+                avg += e.matrix[z, ti] * part
+                expected_height += e.matrix[z, ti] * psi(L, part)
+            height = psi(L, avg)
+            res = bias_variance(L, e, d, L.unknowns.labels[ti])
+            assert res == (float(avg[ti] + height), float(expected_height - height))
 
     def test_decomposition_on_random_canonical_instances(self):
         rng = np.random.default_rng(57)
@@ -384,6 +427,29 @@ class TestBiasVariance:
         monkeypatch.setattr(lp, "solve", counting)
         res = bias_variance(grid, e, d, "t1")
         assert len(calls) == 5
+        pointwise = risk_profile(grid, e, d)["t1"]
+        assert res.bias + res.variance == pytest.approx(pointwise, abs=1e-12)
+
+    def test_each_height_of_a_randomized_rule_solved_once(self, monkeypatch):
+        # five actions used across the mixed columns: five heights plus the average's
+        grid = log_loss_grid(labeled("t", 3), 8)
+        e = random_markov(np.random.default_rng(58), grid.unknowns, labeled("z", 4))
+        m = np.zeros((len(grid.actions), 4))
+        m[[0, 5], 0] = 0.5
+        m[11, 1] = 1.0
+        m[[20, 3], 2] = [0.3, 0.7]
+        m[[0, 11], 3] = [0.9, 0.1]
+        d = Transition(e.target, grid.actions, m)
+        calls = []
+        solve = lp.solve
+
+        def counting(p):
+            calls.append(p)
+            return solve(p)
+
+        monkeypatch.setattr(lp, "solve", counting)
+        res = bias_variance(grid, e, d, "t1")
+        assert len(calls) == 6
         pointwise = risk_profile(grid, e, d)["t1"]
         assert res.bias + res.variance == pytest.approx(pointwise, abs=1e-12)
 
