@@ -10,7 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Distribution, LabeledSet, Transition
+from .errors import ArgumentError
 from .loss import LossMatrix
+
+
+def trial_count(trials) -> int:
+    """A sampled check's ``trials`` as an ``int``: a positive integer, not a bool."""
+    if isinstance(trials, (bool, np.bool_)) or not isinstance(trials, (int, np.integer)):
+        raise ArgumentError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ArgumentError("trials must be at least 1")
+    return int(trials)
 
 
 def labeled(prefix: str, n: int) -> LabeledSet:

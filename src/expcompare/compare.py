@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import lp
+from ._samplers import trial_count
 from .core import Distribution, LabeledSet, Transition, compose, deterministic, uniform
 from .errors import ArgumentError, ShapeError, SolverError
 from .risk import ENUMERATION_CAP, _bayes_values, _rule_assignments
@@ -190,8 +191,7 @@ def randomization_check(
     action count, with the Bayes risks of
     :func:`~expcompare.risk.min_bayes_risk`.
     """
-    if trials < 1:
-        raise ArgumentError("trials must be at least 1")
+    trials = trial_count(trials)
     _check_same_source(e, e2)
     eps = directed_deficiency(e, e2, pi).value
     other = directed_deficiency(e2, e, pi).value

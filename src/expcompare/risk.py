@@ -279,7 +279,7 @@ def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> Bi
     acts = acts.tolist()
     heights: dict[int, float] = {}
     parts: dict[int, np.ndarray] = {}
-    for a in set(acts):
+    for a in sorted(set(acts)):
         col = L.values[:, a]
         parts[a] = zero_sum_part(col)
         heights[a] = psi(L, parts[a])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -13,12 +14,16 @@ from expcompare import (
     PhiSpec,
     Transition,
     binary_symmetric,
+    compose,
     dpi_check,
     identity,
     log_loss_grid,
+    min_bayes_risk,
     mutual_information,
     phi_divergence,
     point_mass,
+    push,
+    randomization_check,
     reverse,
     risk_gap,
     shannon_entropy,
@@ -27,7 +32,8 @@ from expcompare import (
     variational,
     zero_one_loss,
 )
-from expcompare._samplers import labeled, random_distribution
+from expcompare import divergence
+from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 
 THETA = LabeledSet(("-1", "1"))
 UNIF = uniform(THETA)
@@ -276,12 +282,162 @@ class TestDpiCheck:
         assert crushed <= original + 1e-12
 
     def test_deterministic_given_seed(self):
-        a = dpi_check("variational", trials=40, seed=11)
-        b = dpi_check("variational", trials=40, seed=11)
-        assert a == b
+        for kind in divergence.DPI_KINDS:
+            a = dpi_check(kind, trials=40, seed=11)
+            b = dpi_check(kind, trials=40, seed=11)
+            assert a == b
 
     def test_argument_validation(self):
         with pytest.raises(ArgumentError):
             dpi_check("nope", trials=10)
         with pytest.raises(ArgumentError):
             dpi_check("variational", trials=0)
+
+    @pytest.mark.parametrize("trials", [2.5, 3.0, True, False, "3", None, np.float64(3.0)])
+    def test_non_integer_trials_rejected(self, trials):
+        with pytest.raises(ArgumentError, match="trials"):
+            dpi_check("variational", trials=trials)
+        e = binary_symmetric(0.2)
+        with pytest.raises(ArgumentError, match="trials"):
+            randomization_check(e, BSC01, UNIF, trials=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        rep = dpi_check("phi", trials=np.int64(7), seed=3)
+        assert rep == dpi_check("phi", trials=7, seed=3)
+        assert type(rep.trials) is int
+        rand = randomization_check(binary_symmetric(0.2), BSC01, UNIF, trials=np.int32(5))
+        assert rand.trials == 5 and type(rand.trials) is int
+
+    def test_every_trial_counts_below_the_slack(self, monkeypatch):
+        monkeypatch.setattr(divergence, "DPI_SLACK", -10.0)
+        for kind in divergence.DPI_KINDS:
+            assert dpi_check(kind, trials=60, seed=5).violations == 60
+
+    def test_undefined_excess_is_neither_violation_nor_maximum(self, monkeypatch):
+        # a KL excess of inf - inf is NaN; the per-trial loop's max and > skip it
+        blocks = iter([np.array([np.nan, -1.0, np.nan]), np.array([np.nan])])
+        monkeypatch.setattr(divergence, "DPI_BLOCK", 3)
+        monkeypatch.setattr(divergence, "_dpi_block", lambda *_: next(blocks))
+        rep = dpi_check("phi", trials=4)
+        assert (rep.violations, rep.max_excess) == (0, -1.0)
+        monkeypatch.setattr(divergence, "_dpi_block", lambda *_: np.array([np.nan]))
+        assert dpi_check("phi", trials=1).max_excess == -math.inf
+
+    def test_stacked_kl_keeps_the_zero_mass_conventions(self):
+        kl = PhiSpec.kl()
+        pairs = [
+            ([0.5, 0.5, 0.0], [0.5, 0.0, 0.5]),  # Q off P's support: inf
+            ([0.5, 0.5, 0.0], [1.0, 0.0, 0.0]),  # Q vanishes inside it: finite
+            ([0.2, 0.3, 0.5], [0.2, 0.3, 0.5]),
+        ]
+        stack = np.zeros((len(pairs), 4, 2))
+        for b, pair in enumerate(pairs):
+            stack[b, :3] = np.transpose(pair)
+        space = labeled("z", 3)
+        want = [phi_divergence(kl, Distribution(space, p), Distribution(space, q)) for p, q in pairs]
+        assert divergence._kl(stack).tolist() == want
+
+    def test_stacked_bayes_risk_skips_unsupported_observations(self):
+        # observation z0 has joint mass 1e-13: unsupported, as in min_bayes_risk
+        L = random_loss(np.random.default_rng(98), THETA, 3)
+        m = np.array([[1e-13, 1e-13], [0.3, 1.0 - 1e-13], [0.7, 0.0]])
+        e = Transition(THETA, labeled("z", 3), m)
+        pi = dist([0.25, 0.75])
+        joint = np.zeros((1, 4, 4))
+        joint[0, :3, :2] = e.matrix * pi.weights
+        loss = np.zeros((1, 4, 4))
+        loss[0, :2, :3] = L.values
+        actions = (np.arange(4) < 3)[None, None, :]
+        got = divergence._bayes_risk(joint, loss, actions)
+        assert got.tolist() == [min_bayes_risk(L, e, pi).value]
+
+    def test_stacked_ingestion_checks_only_the_unpadded_columns(self):
+        m = np.zeros((2, 4, 4))
+        m[:, :2, :3] = [[0.5, 1.0, 0.25], [0.5, -1e-12, 0.75]]
+        columns = np.arange(4) < np.array([[3], [3]])
+        out = divergence._stochastic(m, columns, "transition matrix")
+        want = Transition(labeled("z", 3), labeled("w", 2), m[0, :2, :3]).matrix
+        assert np.array_equal(out[0, :2, :3], want)
+        assert not out[:, 2:].any() and not out[:, :, 3:].any()
+        for cell, value, match in [
+            ((0, 1, 2), 0.5, "summing to 0.75"),
+            ((1, 0, 0), -0.1, "negative"),
+            ((0, 0, 1), np.nan, "non-finite"),
+        ]:
+            worse = m.copy()
+            worse[cell] = value
+            with pytest.raises(ArgumentError, match=match):
+                divergence._stochastic(worse, columns, "transition matrix")
+
+    def test_memory_is_bounded_by_the_block(self):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                dpi_check("risk_gap", trials=trials, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(5000) <= 2 * peak(1024)
+
+
+def _reference_dpi(kind, trials, seed):
+    """The audit one trial at a time, through the objects and functions of the library."""
+    rng = np.random.default_rng(seed)
+    kl = PhiSpec.kl()
+    violations, max_excess = 0, -math.inf
+    for _ in range(trials):
+        src = labeled("z", int(rng.integers(2, 5)))
+        tgt = labeled("w", int(rng.integers(2, 5)))
+        f = random_markov(rng, src, tgt)
+        if kind in ("variational", "phi"):
+            P = random_distribution(rng, src)
+            Q = random_distribution(rng, src)
+            if kind == "variational":
+                excess = variational(push(f, P), push(f, Q)) - variational(P, Q)
+            else:
+                excess = phi_divergence(kl, push(f, P), push(f, Q)) - phi_divergence(kl, P, Q)
+        else:
+            unknowns = labeled("t", int(rng.integers(2, 5)))
+            e = random_markov(rng, unknowns, src)
+            pi = random_distribution(rng, unknowns)
+            noisy = compose(f, e)
+            if kind == "mutual_information":
+                excess = mutual_information(noisy, pi) - mutual_information(e, pi)
+            else:
+                L = random_loss(rng, unknowns, int(rng.integers(2, 5)))
+                excess = risk_gap(L, noisy, pi) - risk_gap(L, e, pi)
+        if excess > divergence.DPI_SLACK:
+            violations += 1
+        max_excess = max(max_excess, excess)
+    return violations, max_excess
+
+
+class TestDpiEquivalence:
+    """The stacked audit against the per-trial reference on seeded instances."""
+
+    @staticmethod
+    def _check(kind, trials, seed):
+        rep = dpi_check(kind, trials=trials, seed=seed)
+        violations, max_excess = _reference_dpi(kind, trials, seed)
+        assert (rep.kind, rep.trials, rep.seed) == (kind, trials, seed)
+        assert rep.violations == violations
+        assert abs(rep.max_excess - max_excess) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["variational", "phi", "mutual_information", "risk_gap"])
+    def test_matches_per_trial_reference(self, kind):
+        rng = np.random.default_rng(9300 + divergence.DPI_KINDS.index(kind))
+        for i in range(200):
+            trials = 1 if i % 20 == 0 else int(rng.integers(1, 40))
+            self._check(kind, trials, int(rng.integers(1 << 30)))
+        # across block boundaries, up to 2,500 trials
+        for trials in (divergence.DPI_BLOCK + 1, int(rng.integers(2049, 2501))):
+            self._check(kind, trials, int(rng.integers(1 << 30)))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_small_blocks_match_per_trial_reference(self, block, monkeypatch):
+        monkeypatch.setattr(divergence, "DPI_BLOCK", block)
+        rng = np.random.default_rng(9400 + block)
+        for kind in divergence.DPI_KINDS:
+            for _ in range(10):
+                self._check(kind, int(rng.integers(1, 30)), int(rng.integers(1 << 30)))

@@ -381,6 +381,18 @@ class TestBiasVariance:
         with pytest.raises(ArgumentError, match="'never' is never Bayes"):
             bias_variance(L, e, d, "1")
 
+    def test_lowest_index_unachievable_action_named(self):
+        # columns 3 and 8 raised by 1 are never Bayes; the error names a3,
+        # although Python's set order visits 8 first
+        grid = log_loss_grid(THETA, 11)
+        vals = np.array(grid.values)
+        vals[:, [3, 8]] += 1.0
+        labels = LabeledSet(tuple(f"a{i}" for i in range(10)))
+        L = LossMatrix(THETA, labels, vals)
+        d = rule_from_assignment(BSC01.target, labels, [3, 8])
+        with pytest.raises(ArgumentError, match="'a3' is never Bayes"):
+            bias_variance(L, BSC01, d, "1")
+
     def test_deterministic_rule_matches_observation_loop(self):
         rng = np.random.default_rng(60)
         for _ in range(25):
