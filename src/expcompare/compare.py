@@ -27,16 +27,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import lp
-from ._samplers import trial_count
-from .core import Distribution, LabeledSet, Transition, compose, deterministic, uniform
+from ._samplers import _below, blocks, trial_count
+from .core import Distribution, LabeledSet, Transition, _integer, compose, deterministic, uniform
 from .errors import ArgumentError, ShapeError, SolverError
 from .risk import ENUMERATION_CAP, _bayes_values, _rule_assignments
 
 #: Divisibility / sufficiency threshold on deficiency values.
 DIVIDES_TOL = 1e-7
-
-#: Most sampled losses :func:`randomization_check` holds at once.
-RANDOMIZATION_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -186,10 +183,10 @@ def randomization_check(
     absolute gap is then a lower bound for the symmetrized deficiency.
     Losses are drawn reproducibly from ``seed`` as the stream of
     :func:`~expcompare._samplers.random_loss`: per trial a count of 2 to
-    4 actions, then entries uniform in [-1, 1].  They are evaluated in
-    blocks of at most :data:`RANDOMIZATION_BLOCK` trials, stacked by
-    action count, with the Bayes risks of
-    :func:`~expcompare.risk.min_bayes_risk`.
+    4 actions, then entries uniform in [-1, 1].  They are zero-padded to
+    4 actions and scored per block of :func:`~expcompare._samplers.blocks`
+    by the stacked Bayes-risk kernel that :func:`~expcompare.dpi_check`
+    shares, which gives the values of :func:`~expcompare.min_bayes_risk`.
     """
     trials = trial_count(trials)
     _check_same_source(e, e2)
@@ -202,23 +199,22 @@ def randomization_check(
     violations = 0
     max_directed = -np.inf
     max_abs = 0.0
-    for start in range(0, trials, RANDOMIZATION_BLOCK):
-        groups: dict[int, list[np.ndarray]] = {}
-        for _ in range(min(RANDOMIZATION_BLOCK, trials - start)):
-            n_actions = int(rng.integers(2, 5))
-            groups.setdefault(n_actions, []).append(
-                rng.uniform(-1.0, 1.0, size=(n_t, n_actions))
-            )
-        for losses in groups.values():
-            stack = np.stack(losses)
-            r1, r2 = (_bayes_values(joint, stack) for joint in joints)
-            diam = 2.0 * np.abs(stack).max(axis=(1, 2))
-            violations += int(np.count_nonzero(r1 > r2 + eps * diam + 1e-7))
-            spread = diam > 0.0
-            if spread.any():
-                gap = (r1[spread] - r2[spread]) / diam[spread]
-                max_directed = max(max_directed, float(gap.max()))
-                max_abs = max(max_abs, float(np.abs(gap).max()))
+    for n in blocks(trials):
+        loss = np.zeros((n, n_t, 4))
+        n_act = []
+        for b in range(n):
+            na = int(rng.integers(2, 5))
+            n_act.append(na)
+            loss[b, :, :na] = rng.uniform(-1.0, 1.0, size=(n_t, na))
+        actions = _below(n_act)[:, None, :]
+        r1, r2 = (_bayes_values(joint, loss, actions) for joint in joints)
+        diam = 2.0 * np.abs(loss).max(axis=(1, 2))
+        violations += int(np.count_nonzero(r1 > r2 + eps * diam + 1e-7))
+        spread = diam > 0.0
+        if spread.any():
+            gap = (r1[spread] - r2[spread]) / diam[spread]
+            max_directed = max(max_directed, float(gap.max()))
+            max_abs = max(max_abs, float(np.abs(gap).max()))
     return RandomizationReport(
         trials=trials,
         seed=seed,
@@ -257,12 +253,12 @@ def metric_check(
 
     Computes all directed deficiencies, then checks that self-distances
     vanish and that every ordered triple of distinct experiments obeys
-    the directed triangle inequality (``trials`` caps how many triples
-    are examined, in deterministic order).
+    the directed triangle inequality (``trials``, an integer or ``None``,
+    caps how many triples are examined, in deterministic order).
     """
     if len(experiments) < 1:
         raise ArgumentError("need at least one experiment")
-    if trials is not None and trials < 0:
+    if trials is not None and _integer(trials, "trials") < 0:
         raise ArgumentError("trials must be nonnegative")
     for other in experiments[1:]:
         _check_same_source(experiments[0], other)

@@ -71,6 +71,13 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``: a Python or numpy integer, not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _clean_weights(weights: np.ndarray, what: str, tol: float = EPS_TOL) -> np.ndarray:
     if not np.all(np.isfinite(weights)):
         raise ArgumentError(f"{what} contains non-finite entries")
@@ -312,6 +319,7 @@ def replicate(f: Transition, n: int) -> Transition:
     ``f.target``; the column for source label ``x`` is the n-fold
     Kronecker power of the column of ``f`` at ``x``.
     """
+    n = _integer(n, "replication count")
     if n < 1:
         raise ArgumentError(f"replication count must be >= 1, got {n}")
     cols = []

@@ -14,9 +14,10 @@ approximates the mutual information.  All these quantities can only
 shrink under post-processing; :func:`dpi_check` samples that
 monotonicity with a seeded generator.  It draws the same stream as the
 samplers of :mod:`~expcompare._samplers` would, one trial at a time, and
-evaluates the draws as zero-padded stacks of at most :data:`DPI_BLOCK`
-trials; its violation counts equal those of the per-trial functions
-here and its largest excess agrees with theirs within 1e-12.
+evaluates the draws as zero-padded stacks of at most
+:data:`~expcompare._samplers.TRIAL_BLOCK` trials; its violation counts
+equal those of the per-trial functions here and its largest excess
+agrees with theirs within 1e-12.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._samplers import trial_count
+from ._samplers import _below, blocks, trial_count
 from .core import EPS_TOL, Distribution, Transition, _clean_weights
 from .errors import ArgumentError, ShapeError
 from .loss import LossMatrix, entropy
-from .risk import SUPPORT_CUTOFF, min_bayes_risk
+from .risk import _bayes_values, min_bayes_risk
 
 #: Slack for the post-processing monotonicity checks.
 DPI_SLACK = 1e-9
@@ -40,9 +41,6 @@ _CONVEXITY_GRID = np.linspace(0.0, 4.0, 33)
 
 #: The monotonicity laws :func:`dpi_check` samples.
 DPI_KINDS = ("variational", "phi", "mutual_information", "risk_gap")
-
-#: Most trials :func:`dpi_check` stacks at once; memory is bounded by it.
-DPI_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -178,8 +176,8 @@ def dpi_check(kind: str, trials: int, seed: int = 0) -> DpiReport:
     post-processing's columns, then ``P`` and ``Q``, or the unknowns
     count, the experiment's columns and the prior, and for ``risk_gap``
     the action count and the loss.  The draws are zero-padded to size 4
-    and evaluated in blocks of at most :data:`DPI_BLOCK` trials, with the
-    ingestion checks of :class:`~expcompare.core.Transition` and
+    and evaluated in the blocks of :func:`~expcompare._samplers.blocks`,
+    with the ingestion checks of :class:`~expcompare.core.Transition` and
     :class:`~expcompare.core.Distribution` applied to each block's stack
     and to its pushed and composed stacks.  The violation counts equal
     those of the per-trial functions of this module; the largest excess
@@ -191,8 +189,8 @@ def dpi_check(kind: str, trials: int, seed: int = 0) -> DpiReport:
     rng = np.random.default_rng(seed)
     violations = 0
     max_excess = -math.inf
-    for start in range(0, trials, DPI_BLOCK):
-        excess = _dpi_block(kind, rng, min(DPI_BLOCK, trials - start))
+    for n in blocks(trials):
+        excess = _dpi_block(kind, rng, n)
         violations += int(np.count_nonzero(excess > DPI_SLACK))
         max_excess = float(np.fmax.reduce(excess, initial=max_excess))
     return DpiReport(
@@ -258,16 +256,11 @@ def _dpi_block(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
     if not np.isfinite(loss).all():
         raise ArgumentError("loss matrix contains non-finite entries")
     actions = _below(n_act)[:, None, :]
-    # entropy(L, pi): the prior's best action; equal for both experiments
-    ent = np.where(actions, pi @ loss, np.inf).min(axis=2)[:, 0]
-    return (ent - _bayes_risk(noisy * pi, loss, actions)) - (
-        ent - _bayes_risk(e * pi, loss, actions)
+    # entropy(L, pi): the Bayes risk with nothing observed; equal for both experiments
+    ent = _bayes_values(pi, loss, actions)
+    return (ent - _bayes_values(noisy * pi, loss, actions)) - (
+        ent - _bayes_values(e * pi, loss, actions)
     )
-
-
-def _below(sizes: list[int]) -> np.ndarray:
-    """``mask[b, i] = i < sizes[b]``: the unpadded cells of size-4 axes."""
-    return np.arange(4) < np.array(sizes)[:, None]
 
 
 def _stochastic(m: np.ndarray, columns, what: str) -> np.ndarray:
@@ -308,14 +301,3 @@ def _information(m: np.ndarray, pi: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(joint > 0.0, joint * np.log(m / marginal), 0.0)
     return terms.reshape(len(m), -1).sum(axis=1)
-
-
-def _bayes_risk(joint: np.ndarray, loss: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """``min_bayes_risk(L, e, pi).value`` from stacked joints ``joint[k, z, t]``.
-
-    ``actions[k, 0, a]`` masks the unpadded actions; observations with
-    marginal mass at most :data:`~expcompare.risk.SUPPORT_CUTOFF` add 0.
-    """
-    best = np.where(actions, joint @ loss, np.inf).min(axis=2)
-    supported = joint.sum(axis=2) > SUPPORT_CUTOFF
-    return np.where(supported, best, 0.0).sum(axis=1)

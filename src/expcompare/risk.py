@@ -193,21 +193,18 @@ def min_bayes_risk(L: LossMatrix, e: Transition, pi: Distribution) -> MinBayesRe
     return MinBayesResult(float(value), deterministic(e.target, L.actions, g))
 
 
-def _bayes_values(joint: np.ndarray, stack: np.ndarray) -> np.ndarray:
+def _bayes_values(joint: np.ndarray, loss: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Smallest Bayes risks of ``k`` stacked losses, as :func:`min_bayes_risk`.
 
-    ``joint[z, t]`` is the joint ``pi_t e[z, t]`` and ``stack`` holds the
-    loss values as ``(k, |T|, |A|)``.  One product scores every loss;
-    each observation with marginal mass above :data:`SUPPORT_CUTOFF`
-    keeps its lowest score per loss, and the supported scores are summed
-    along a contiguous axis, in observation order, as the single-loss
-    path sums them.
+    ``joint`` is the joint ``pi_t e[z, t]``, ``(|Z|, |T|)`` when shared or
+    ``(k, |Z|, |T|)``; a prior as ``(k, 1, |T|)`` gives the entropy.  The
+    losses are zero-padded to ``(k, |T|, 4)``, ``actions[k, 0, a]`` masks
+    the unpadded actions, and observations with marginal mass at most
+    :data:`SUPPORT_CUTOFF` add 0.
     """
-    k, n_t, n_a = stack.shape
-    scores = joint @ stack.transpose(1, 0, 2).reshape(n_t, k * n_a)
-    best = scores.reshape(len(joint), k, n_a).min(axis=2)
-    supported = joint.sum(axis=1) > SUPPORT_CUTOFF
-    return np.ascontiguousarray(best[supported].T).sum(axis=1)
+    best = np.where(actions, joint @ loss, np.inf).min(axis=-1)
+    supported = joint.sum(axis=-1) > SUPPORT_CUTOFF
+    return np.where(supported, best, 0.0).sum(axis=-1)
 
 
 def _rule_space(L: LossMatrix, e: Transition) -> tuple[np.ndarray, np.ndarray]:

@@ -26,10 +26,15 @@ from expcompare import (
     uniform,
     zero_one_loss,
 )
-from expcompare import compare, lp
-from expcompare.compare import RANDOMIZATION_BLOCK
+from expcompare import _samplers, lp
 from expcompare.risk import SUPPORT_CUTOFF
-from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
+from expcompare._samplers import (
+    TRIAL_BLOCK,
+    labeled,
+    random_distribution,
+    random_loss,
+    random_markov,
+)
 
 THETA = LabeledSet(("-1", "1"))
 BSC01 = binary_symmetric(0.1)
@@ -211,7 +216,7 @@ def _randomization_instance(rng, case):
     if case == "one_trial":
         trials = 1
     elif case == "across_blocks":
-        trials = int(rng.integers(RANDOMIZATION_BLOCK + 1, 2 * RANDOMIZATION_BLOCK + 2))
+        trials = int(rng.integers(TRIAL_BLOCK + 1, 2 * TRIAL_BLOCK + 2))
     else:
         trials = int(rng.integers(1, 60))
     return e, e2, pi, trials
@@ -250,7 +255,7 @@ class TestRandomizationEquivalence:
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_small_blocks_match_per_trial_reference(self, block, monkeypatch):
-        monkeypatch.setattr(compare, "RANDOMIZATION_BLOCK", block)
+        monkeypatch.setattr(_samplers, "TRIAL_BLOCK", block)
         rng = np.random.default_rng(9200 + block)
         for _ in range(40):
             e, e2, pi, trials = _randomization_instance(rng, "random")
@@ -274,6 +279,15 @@ class TestMetricCheck:
     def test_zero_trials_checks_no_triangle(self):
         rep = metric_check([identity(THETA), BSC01, BSC03], UNIF, trials=0)
         assert rep.triangles_checked == 0
+
+    @pytest.mark.parametrize("trials", [2.5, True, np.float64(3.0), "3"])
+    def test_non_integer_trials_rejected(self, trials):
+        with pytest.raises(ArgumentError, match="trials must be an integer"):
+            metric_check([identity(THETA), BSC01, BSC03], UNIF, trials=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        rep = metric_check([identity(THETA), BSC01, BSC03], UNIF, trials=np.int64(4))
+        assert rep.triangles_checked == 4
 
     def test_named_triple(self):
         rep = metric_check([identity(THETA), BSC01, BSC03], UNIF)

@@ -233,6 +233,15 @@ class TestReplicate:
         with pytest.raises(ArgumentError):
             replicate(binary_symmetric(0.1), 0)
 
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(2.0), "2"])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(ArgumentError, match="replication count must be an integer"):
+            replicate(binary_symmetric(0.1), n)
+
+    def test_numpy_integer_count_accepted(self):
+        e = binary_symmetric(0.1)
+        np.testing.assert_array_equal(replicate(e, np.int64(2)).matrix, replicate(e, 2).matrix)
+
 
 class TestFromFunction:
     def test_identity_map(self):

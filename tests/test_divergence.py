@@ -32,8 +32,14 @@ from expcompare import (
     variational,
     zero_one_loss,
 )
-from expcompare import divergence
-from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
+from expcompare import _samplers, divergence, risk
+from expcompare._samplers import (
+    TRIAL_BLOCK,
+    labeled,
+    random_distribution,
+    random_loss,
+    random_markov,
+)
 
 THETA = LabeledSet(("-1", "1"))
 UNIF = uniform(THETA)
@@ -316,7 +322,7 @@ class TestDpiCheck:
     def test_undefined_excess_is_neither_violation_nor_maximum(self, monkeypatch):
         # a KL excess of inf - inf is NaN; the per-trial loop's max and > skip it
         blocks = iter([np.array([np.nan, -1.0, np.nan]), np.array([np.nan])])
-        monkeypatch.setattr(divergence, "DPI_BLOCK", 3)
+        monkeypatch.setattr(_samplers, "TRIAL_BLOCK", 3)
         monkeypatch.setattr(divergence, "_dpi_block", lambda *_: next(blocks))
         rep = dpi_check("phi", trials=4)
         assert (rep.violations, rep.max_excess) == (0, -1.0)
@@ -348,8 +354,9 @@ class TestDpiCheck:
         loss = np.zeros((1, 4, 4))
         loss[0, :2, :3] = L.values
         actions = (np.arange(4) < 3)[None, None, :]
-        got = divergence._bayes_risk(joint, loss, actions)
-        assert got.tolist() == [min_bayes_risk(L, e, pi).value]
+        want = [min_bayes_risk(L, e, pi).value]
+        assert risk._bayes_values(joint, loss, actions).tolist() == want
+        assert risk._bayes_values(joint[0], loss, actions).tolist() == want
 
     def test_stacked_ingestion_checks_only_the_unpadded_columns(self):
         m = np.zeros((2, 4, 4))
@@ -431,12 +438,12 @@ class TestDpiEquivalence:
             trials = 1 if i % 20 == 0 else int(rng.integers(1, 40))
             self._check(kind, trials, int(rng.integers(1 << 30)))
         # across block boundaries, up to 2,500 trials
-        for trials in (divergence.DPI_BLOCK + 1, int(rng.integers(2049, 2501))):
+        for trials in (TRIAL_BLOCK + 1, int(rng.integers(2049, 2501))):
             self._check(kind, trials, int(rng.integers(1 << 30)))
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_small_blocks_match_per_trial_reference(self, block, monkeypatch):
-        monkeypatch.setattr(divergence, "DPI_BLOCK", block)
+        monkeypatch.setattr(_samplers, "TRIAL_BLOCK", block)
         rng = np.random.default_rng(9400 + block)
         for kind in divergence.DPI_KINDS:
             for _ in range(10):

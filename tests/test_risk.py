@@ -294,11 +294,37 @@ class TestMinBayesRisk:
         rng = np.random.default_rng(64)
         for _ in range(30):
             unknowns = labeled("t", int(rng.integers(1, 5)))
-            e = random_markov(rng, unknowns, labeled("z", int(rng.integers(1, 10))))
+            obs = labeled("z", int(rng.integers(1, 10)))
+            e = random_markov(rng, unknowns, obs)
             pi = random_distribution(rng, unknowns)
-            losses = [random_loss(rng, unknowns, 3) for _ in range(int(rng.integers(1, 20)))]
-            values = risk._bayes_values(e.matrix * pi.weights, np.stack([L.values for L in losses]))
+            losses = [
+                random_loss(rng, unknowns, int(rng.integers(2, 5)))
+                for _ in range(int(rng.integers(1, 20)))
+            ]
+            stack = np.zeros((len(losses), len(unknowns), 4))
+            for b, L in enumerate(losses):
+                stack[b, :, : len(L.actions)] = L.values
+            actions = (np.arange(4) < np.array([[len(L.actions)] for L in losses]))[:, None, :]
+            # one experiment shared by every loss
+            values = risk._bayes_values(e.matrix * pi.weights, stack, actions)
             expected = [min_bayes_risk(L, e, pi).value for L in losses]
+            np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-15)
+            # one experiment per loss
+            exps = [random_markov(rng, unknowns, obs) for _ in losses]
+            joints = np.stack([x.matrix * pi.weights for x in exps])
+            expected = [min_bayes_risk(L, x, pi).value for L, x in zip(losses, exps)]
+            values = risk._bayes_values(joints, stack, actions)
+            np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-15)
+            # with nothing observed, the Bayes risk is the prior's entropy.  BLAS
+            # sums a product in an order that depends on the matrix width, so the
+            # bit-exact reference is the entropy of the loss padded to 4 actions
+            # with a value (2) that no score of entries in [-1, 1) reaches
+            prior = np.broadcast_to(pi.weights, (len(losses), 1, len(unknowns)))
+            values = risk._bayes_values(prior, stack, actions)
+            padded = [LossMatrix(unknowns, labeled("a", 4), np.where(m[0], s, 2.0))
+                      for m, s in zip(actions, stack)]
+            assert values.tolist() == [entropy(L, pi) for L in padded]
+            expected = [entropy(L, pi) for L in losses]
             np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-15)
 
 
