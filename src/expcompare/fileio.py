@@ -1,7 +1,8 @@
 """JSON file formats for experiments, losses, priors and rules.
 
 All files are flat JSON objects with label lists and row-major nested
-``matrix`` lists; label order in the file is authoritative.
+``matrix`` lists; label order in the file is authoritative.  Entries
+must be JSON numbers; any other leaf is rejected, naming file and key.
 
 * experiment: ``{"theta": [...], "outcomes": [...], "matrix": [...]}``
   with one row per outcome and one column per unknown (column
@@ -63,6 +64,13 @@ def _labels(obj: dict, key: str, path) -> LabeledSet:
 def _numbers(obj: dict, key: str, path) -> np.ndarray:
     if key not in obj:
         raise ArgumentError(f"{path}: missing '{key}'")
+    todo = [obj[key]]
+    while todo:  # depth first, so the first bad leaf in file order is named
+        x = todo.pop()
+        if isinstance(x, list):
+            todo.extend(reversed(x))
+        elif type(x) not in (int, float):  # bool is a subclass of int
+            raise ArgumentError(f"{path}: '{key}' holds {json.dumps(x)}, not a number")
     try:
         return np.asarray(obj[key], dtype=float)
     except (TypeError, ValueError) as exc:

@@ -23,7 +23,8 @@ LP duality the min over distributions ``P`` is the minimax value of a
 game over mixed actions, the epigraph program that also gives minimax
 rules (:func:`_epigraph`).  It has one row per unknown and one sum row,
 so it grows with the actions only in its columns, and the minimizing
-``P`` is read off its duals.
+``P`` is read off its duals.  It starts at a feasible vertex, the best
+reply to uniform weights, so its phase one takes no pivot.
 
 Sign convention.  Decomposing an achievable column as
 ``col = u + mean(col) * ones`` with ``u`` zero-sum, the height satisfies
@@ -147,36 +148,44 @@ def _bayes_index(L: LossMatrix, weights: np.ndarray) -> int:
     return int(np.argmin(weights @ L.values))
 
 
-def _epigraph(A: np.ndarray, sums: np.ndarray, b: np.ndarray) -> lp.LPResult:
+def _epigraph(
+    A: np.ndarray, sums: np.ndarray, b: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Minimize the largest entry of ``A @ x - b`` over ``x >= 0`` with ``sums @ x == 1``.
 
-    The epigraph program of a finite zero-sum game: minimize a free level
-    ``t`` subject to ``A @ x - t <= b`` and ``sums @ x == 1``.  It has one
-    ``<=`` row per row of ``A`` and one equality row per row of ``sums``,
-    so it grows with the columns of ``A`` only in the tableau's columns.
-    ``-dual_ub`` is the least favorable weighting of the rows of ``A``:
-    the ``<=`` duals are ``<= 0`` and, because the free ``t`` prices out at
-    zero, sum to ``-1`` up to pivot rounding.  The variables are ``x``
-    followed by ``t``.
+    The epigraph program of a finite zero-sum game; each column of ``A``
+    lies in one 0/1 sum row.  It starts at a feasible vertex: each sum row
+    keeps as reference ``ref`` its column with the lowest total in ``A``
+    (the best reply to uniform weights, lowest index on ties), and
+    ``x_ref`` becomes one minus the rest of its row, a ``<= 1`` row.  The
+    level is ``top - s`` with ``s >= 0`` and ``top`` one above the largest
+    entry at the references, so every right-hand side is nonnegative and
+    phase one takes no pivot.  As ``s >= 1`` at the optimum, ``s`` is
+    basic and the duals of the rows of ``A`` sum to ``-1`` up to rounding.
+    Returns ``(value, x, weights)``, where ``weights = -dual_ub`` is the
+    least favorable weighting of the rows of ``A``.
     """
-    n_rows, n = A.shape
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    free = np.zeros(n + 1, dtype=bool)
-    free[n] = True
-    res = lp.solve(
-        lp.LinearProgram(
-            c,
-            a_ub=np.hstack([A, -np.ones((n_rows, 1))]),
-            b_ub=b,
-            a_eq=np.hstack([sums, np.zeros((len(sums), 1))]),
-            b_eq=np.ones(len(sums)),
-            free=free,
-        )
-    )
+    (n_rows, n), k = A.shape, len(sums)
+    ref = np.where(sums > 0, A.sum(axis=0), np.inf).argmin(axis=1)
+    rest = np.ones(n, dtype=bool)
+    rest[ref] = False
+    excess = A[:, ref].sum(axis=1) - b
+    top = excess.max() + 1.0
+    # columns: the non-reference x, then s; rows: those of A, then the sums
+    a_ub = np.zeros((n_rows + k, n - k + 1))
+    a_ub[:n_rows, :-1] = (A - A[:, ref] @ sums)[:, rest]
+    a_ub[:n_rows, -1] = 1.0
+    a_ub[n_rows:, :-1] = sums[:, rest]
+    c = np.zeros(n - k + 1)
+    c[-1] = -1.0  # maximize s
+    b_ub = np.concatenate([top - excess, np.ones(k)])
+    res = lp.solve(lp.LinearProgram(c, a_ub=a_ub, b_ub=b_ub))
     if not res.is_optimal:  # a bounded level over a nonempty polytope
         raise SolverError(f"epigraph program did not solve: {res.status}")
-    return res
+    x = np.zeros(n)
+    x[rest] = res.primal[:-1]
+    x[ref] = 1.0 - sums @ x
+    return float(top + res.value), x, -res.dual_ub[:n_rows]
 
 
 def support_gap(L: LossMatrix, v) -> tuple[float, np.ndarray]:
@@ -192,8 +201,8 @@ def support_gap(L: LossMatrix, v) -> tuple[float, np.ndarray]:
     ``Distribution`` clamps.
     """
     arr = _vector_over(L, v, "vector")
-    res = _epigraph(L.values, np.ones((1, len(L.actions))), arr)
-    return -float(res.value), -res.dual_ub
+    value, _, weights = _epigraph(L.values, np.ones((1, len(L.actions))), arr)
+    return -value, weights
 
 
 def in_super_prediction_set(L: LossMatrix, zeta) -> bool:

@@ -1,8 +1,9 @@
 """Dense linear programs and a self-contained two-phase simplex solver.
 
 Programs are minimizations ``c @ x`` subject to ``a_eq @ x == b_eq``,
-``a_ub @ x <= b_ub`` and ``x >= 0`` except where a variable is flagged
-free.  The solver is a dense two-phase simplex on a numpy tableau (pivot
+``a_ub @ x <= b_ub`` and ``x >= 0``; every variable is nonnegative, so
+a caller writes a free quantity as a shifted or split nonnegative one.
+The solver is a dense two-phase simplex on a numpy tableau (pivot
 tolerance ``PIVOT_TOL``, feasibility tolerance ``FEAS_TOL``).  The
 entering column is chosen by exact steepest edge: among the negative
 reduced costs ``d_j``, the largest ``d_j**2 / (1 + ||tab[:m, j]||**2)``,
@@ -76,30 +77,19 @@ def _block(a, b, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``min c @ x`` s.t. ``a_eq x = b_eq``, ``a_ub x <= b_ub``, ``x >= 0``.
-
-    Variables listed in ``free`` (boolean mask) are unrestricted in sign;
-    they are split into positive and negative parts internally.
-    """
+    """``min c @ x`` s.t. ``a_eq x = b_eq``, ``a_ub x <= b_ub``, ``x >= 0``."""
 
     c: np.ndarray
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    free: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.array(self.c, dtype=float, copy=True))
         n = c.shape[0]
         a_ub, b_ub = _block(self.a_ub, self.b_ub, n, "upper-bound block")
         a_eq, b_eq = _block(self.a_eq, self.b_eq, n, "equality block")
-        if self.free is None:
-            free = np.zeros(n, dtype=bool)
-        else:
-            free = np.atleast_1d(np.array(self.free, dtype=bool, copy=True))
-            if free.shape != (n,):
-                raise ShapeError("free mask length does not match objective")
         for name, arr in (
             ("objective", c),
             ("a_ub", a_ub),
@@ -115,7 +105,6 @@ class LinearProgram:
             ("b_ub", b_ub),
             ("a_eq", a_eq),
             ("b_eq", b_eq),
-            ("free", free),
         ):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
@@ -230,27 +219,24 @@ def _phase_one(
     """Build the simplex tableau of ``p`` and pivot phase one to its optimum.
 
     The tableau has ``m`` constraint rows, then the reduced-cost row, and
-    the columns: the variables, one negated copy per free variable, one
-    slack per ``<=`` row, the artificials, and the right-hand side.  Rows
-    are signed so that every right-hand side is nonnegative.  Then any
-    column that is a unit vector (a single ``+1``) starts basic in its
-    row, the lowest index winning; only rows left without one get an
-    artificial column.  Returns ``(tab, basis, basis0, sign, n_struct,
-    pivots)``: ``basis0`` is the starting basis, ``sign`` the row signs
-    and ``n_struct`` the number of columns before the artificials.
+    the columns: the variables, one slack per ``<=`` row, the
+    artificials, and the right-hand side.  Rows are signed so that every
+    right-hand side is nonnegative.  Then any column that is a unit
+    vector (a single ``+1``) starts basic in its row, the lowest index
+    winning; only rows left without one get an artificial column.
+    Returns ``(tab, basis, basis0, sign, n_struct, pivots)``: ``basis0``
+    is the starting basis, ``sign`` the row signs and ``n_struct`` the
+    number of columns before the artificials.
     """
-    free_idx = np.flatnonzero(p.free)
     n, n_eq, n_ub = p.n_vars, p.b_eq.size, p.b_ub.size
     m = n_eq + n_ub
-    n_ext = n + free_idx.size
-    n_struct = n_ext + n_ub
+    n_struct = n + n_ub
     b = np.concatenate([p.b_eq, p.b_ub])
     sign = np.where(b < 0.0, -1.0, 1.0)
     rows = np.zeros((m, n_struct))
     rows[:n_eq, :n] = p.a_eq
     rows[n_eq:, :n] = p.a_ub
-    rows[:, n:n_ext] = -rows[:, free_idx]
-    rows[np.arange(n_eq, m), np.arange(n_ext, n_struct)] = 1.0
+    rows[np.arange(n_eq, m), np.arange(n, n_struct)] = 1.0
     rows *= sign[:, None]
     nonzero = rows != 0.0
     unit = np.flatnonzero((nonzero.sum(axis=0) == 1) & (rows.sum(axis=0) == 1.0))
@@ -309,11 +295,8 @@ def solve(p: LinearProgram) -> LPResult:
             pivots1 += 1
 
     # Phase two: restore the real objective, keep artificials ineligible.
-    n, free_idx = p.n_vars, np.flatnonzero(p.free)
-    n_ext = n + free_idx.size
     cost = np.zeros(n_total + 1)
-    cost[:n] = p.c
-    cost[n:n_ext] = -p.c[free_idx]
+    cost[:p.n_vars] = p.c
     _price(tab, basis, cost)
     bounded, pivots2 = _run_simplex("two", tab, basis, n_struct)
     pivots = (pivots1, pivots2)
@@ -322,8 +305,7 @@ def solve(p: LinearProgram) -> LPResult:
 
     x = np.zeros(n_total)
     x[basis] = tab[:m, n_total]
-    primal = x[:n]
-    primal[free_idx] -= x[n:n_ext]
+    primal = x[:p.n_vars]
     # Row i started with the unit column basis0[i]; its reduced cost is
     # its cost minus the (signed) dual of row i.
     y = (cost[basis0] - tab[m, basis0]) * sign

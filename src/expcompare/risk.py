@@ -247,12 +247,12 @@ def minimax_risk(L: LossMatrix, e: Transition) -> MinimaxResult:
         raise ShapeError("experiment source does not match loss unknowns")
     K, sums = _rule_space(L, e)
     n_t, n_z, n_a = K.shape
-    res = _epigraph(K.reshape(n_t, n_z * n_a), sums, np.zeros(n_t))
-    rule = Transition(e.target, L.actions, res.primal[:-1].reshape(n_z, n_a).T)
-    # the free level's column makes these sum to 1 up to pivot rounding
-    prior_w = np.maximum(-res.dual_ub, 0.0)
+    value, x, weights = _epigraph(K.reshape(n_t, n_z * n_a), sums, np.zeros(n_t))
+    rule = Transition(e.target, L.actions, x.reshape(n_z, n_a).T)
+    # the basic level's column makes these sum to 1 up to pivot rounding
+    prior_w = np.maximum(weights, 0.0)
     prior = Distribution(L.unknowns, prior_w / prior_w.sum())
-    return MinimaxResult(float(res.value), rule, prior)
+    return MinimaxResult(value, rule, prior)
 
 
 def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> BiasVariance:

@@ -39,23 +39,44 @@ def rule_from_assignment(obs: LabeledSet, actions: LabeledSet, assignment) -> Tr
     return Transition(obs, actions, m)
 
 
+def record_solves(monkeypatch) -> list:
+    """Record every ``(program, result)`` of ``lp.solve`` from here on."""
+    seen = []
+    solve = lp.solve
+
+    def recording(p):
+        seen.append((p, solve(p)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(lp, "solve", recording)
+    return seen
+
+
+def assert_vertex_starts(seen) -> None:
+    """Each recorded program has no artificial column and no phase-one pivot."""
+    assert seen
+    for p, res in seen:
+        tab, *_, n_struct, _ = lp._phase_one(p)
+        assert tab.shape[1] - 1 == n_struct  # no artificial column
+        assert res.is_optimal and res.pivots[0] == 0
+
+
 def primal_support_program(L: LossMatrix, v) -> LinearProgram:
     """``min over the simplex of <P, v> - entropy(L, P)`` as the primal LP,
     one row ``t <= <P, column_a>`` per action.
 
-    Variables are ``P`` and a free epigraph level ``t``.  The library
-    solves the dual, whose tableau has one row per unknown instead.
+    Variables are ``P`` and the epigraph level ``t``, unrestricted in
+    sign, as the difference ``t+ - t-`` of two nonnegative columns.  The
+    library solves the dual, whose tableau has one row per unknown
+    instead.
     """
     n, n_a = L.values.shape
-    free = np.zeros(n + 1, dtype=bool)
-    free[n] = True
     return LinearProgram(
-        np.concatenate([np.asarray(v, dtype=float), [-1.0]]),
-        a_ub=np.hstack([-L.values.T, np.ones((n_a, 1))]),
+        np.concatenate([np.asarray(v, dtype=float), [-1.0, 1.0]]),
+        a_ub=np.hstack([-L.values.T, np.ones((n_a, 1)), -np.ones((n_a, 1))]),
         b_ub=np.zeros(n_a),
-        a_eq=np.concatenate([np.ones(n), [0.0]])[None, :],
+        a_eq=np.concatenate([np.ones(n), [0.0, 0.0]])[None, :],
         b_eq=[1.0],
-        free=free,
     )
 
 
@@ -71,9 +92,8 @@ def highs_support_gap(L: LossMatrix, v) -> float:
     from scipy.optimize import linprog
 
     p = primal_support_program(L, v)
-    bounds = [(None, None) if f else (0, None) for f in p.free]
     res = linprog(p.c, A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq, b_eq=p.b_eq,
-                  bounds=bounds, method="highs")
+                  bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return res.fun
 
@@ -168,7 +188,8 @@ def random_program(seed: int) -> LinearProgram:
 
     Half of the right-hand sides are taken at a point ``x0`` (plus slack
     for ``<=`` rows), so feasible, unbounded and infeasible programs all
-    occur.
+    occur.  A free variable is the difference of its column and a negated
+    copy appended after the other columns, in order.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
@@ -190,4 +211,8 @@ def random_program(seed: int) -> LinearProgram:
         box = np.vstack([np.eye(n), -np.eye(n)])
         a_ub = np.vstack([a_ub, box])
         b_ub = np.concatenate([b_ub, np.full(2 * n, 3.0)])
-    return LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, free=free)
+
+    def split(a):
+        return np.concatenate([a, -a[..., free]], axis=-1)
+
+    return LinearProgram(split(c), a_ub=split(a_ub), b_ub=b_ub, a_eq=split(a_eq), b_eq=b_eq)

@@ -81,6 +81,30 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("obj, key, leaf", [
+        ({"theta": THETA, "outcomes": THETA, "matrix": [["1", True], ["0", False]]},
+         "matrix", '"1"'),
+        ({"theta": THETA, "outcomes": THETA, "matrix": [[1, True], [0, False]]},
+         "matrix", "true"),
+        ({"theta": THETA, "weights": [" 0.5 ", "5e-1"]}, "weights", '" 0.5 "'),
+        ({"theta": THETA, "weights": [0.5, None]}, "weights", "null"),
+        ({"theta": THETA, "actions": THETA, "matrix": [[0, 1], [1, {"x": 0}]]},
+         "matrix", '{"x": 0}'),
+    ])
+    def test_non_number_leaves_rejected(self, capsys, tmp_path, obj, key, leaf):
+        # strings and booleans once loaded as numbers, through float()
+        path = tmp_path / "leaves.json"
+        fileio.save_object(obj, path)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert str(path) in err and f"'{key}' holds {leaf}, not a number" in err
+
+    def test_integer_leaves_accepted(self, capsys, tmp_path):
+        path = tmp_path / "ints.json"
+        fileio.save_object({"theta": THETA, "outcomes": THETA, "matrix": [[1, 0], [0, 1]]}, path)
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0 and "experiment" in out
+
 
 class TestCompute:
     def test_bayes_risk_value(self, files, capsys):

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import grid_oracle_2x2, highs_directed_deficiency, random_experiment
+from helpers import (
+    assert_vertex_starts,
+    grid_oracle_2x2,
+    highs_directed_deficiency,
+    random_experiment,
+    record_solves,
+)
 from hypothesis import given, settings, strategies as st
 
 from expcompare import (
@@ -380,9 +386,7 @@ class TestSufficient:
 
     def test_one_program_per_check(self, monkeypatch):
         # e always divides f.e, so only the reverse direction is solved
-        calls = []
-        real = lp.solve
-        monkeypatch.setattr(lp, "solve", lambda p: calls.append(p) or real(p))
+        calls = record_solves(monkeypatch)
         assert not is_sufficient(BSC01, terminal(THETA), UNIF)
         assert len(calls) == 1
 
@@ -397,15 +401,8 @@ DIVISIBLE_SEED, DIVISIBLE_SIZE, DIVISIBLE_PIVOT_BOUND = 232, 12, 1000
 
 def _recorded_deficiency(e, e2, pi):
     """``directed_deficiency(e, e2, pi)``, the one LP it solved and that LP's result."""
-    solved = []
-    solve = lp.solve
-
-    def recording(p):
-        solved.append((p, solve(p)))
-        return solved[-1][1]
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "solve", recording)
+        solved = record_solves(mp)
         res = directed_deficiency(e, e2, pi)
     assert len(solved) == 1
     return res, *solved[0]
@@ -478,9 +475,7 @@ class TestFeasibleStart:
     def test_no_artificial_column_and_no_phase_one_pivot(self, e, e2):
         pi = random_distribution(np.random.default_rng(81), e.source)
         res, program, result = _recorded_deficiency(e, e2, pi)
-        tab, *_, n_struct, _ = lp._phase_one(program)
-        assert tab.shape[1] - 1 == n_struct  # no artificial column
-        assert result.is_optimal and result.pivots[0] == 0
+        assert_vertex_starts([(program, result)])
         oracle = 0.5 * (np.abs(res.witness.matrix @ e.matrix - e2.matrix) @ pi.weights).sum()
         assert res.value == pytest.approx(oracle, abs=1e-12)
 

@@ -42,13 +42,12 @@ differential = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def highs(p: LinearProgram):
-    bounds = [(None, None) if f else (0, None) for f in p.free]
     kw = {}
     if p.a_ub.shape[0]:
         kw.update(A_ub=p.a_ub, b_ub=p.b_ub)
     if p.a_eq.shape[0]:
         kw.update(A_eq=p.a_eq, b_eq=p.b_eq)
-    return linprog(p.c, bounds=bounds, method="highs", **kw)
+    return linprog(p.c, bounds=(0, None), method="highs", **kw)
 
 
 @differential

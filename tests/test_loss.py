@@ -3,7 +3,12 @@ import time
 
 import numpy as np
 import pytest
-from helpers import highs_support_gap, primal_support_gap
+from helpers import (
+    assert_vertex_starts,
+    highs_support_gap,
+    primal_support_gap,
+    record_solves,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +30,8 @@ from expcompare import (
     is_supergradient,
     log_loss_grid,
     loss_from_entropy,
+    max_risk,
+    min_bayes_risk,
     minimax_risk,
     psi,
     terminal,
@@ -32,8 +39,7 @@ from expcompare import (
     zero_one_loss,
     zero_sum_part,
 )
-from expcompare import lp
-from expcompare._samplers import labeled, random_distribution, random_loss
+from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 from expcompare.loss import GRID_CAP, support_gap
 
 THETA = LabeledSet(("-1", "1"))
@@ -203,7 +209,9 @@ class TestPsi:
             )
 
 
-#: Pivots allowed for one ``psi`` on the 39,711-action grid (27-38 measured).
+#: Pivots allowed for one ``psi`` on the 39,711-action grid.  The test's two
+#: coordinates take 0 + 15 and 0 + 12 pivots (phase one + phase two), and
+#: 22 random coordinates at most 17 in all.
 GRID_PSI_PIVOT_BOUND = 200
 
 
@@ -252,19 +260,13 @@ class TestSupportGap:
     def test_psi_on_the_39711_action_grid_within_pivot_bound(self, monkeypatch):
         grid = log_loss_grid(labeled("t", 4), 64)
         assert len(grid.actions) == 39_711
-        results = []
-        solve = lp.solve
-
-        def recording(p):
-            results.append(solve(p))
-            return results[-1]
-
-        monkeypatch.setattr(lp, "solve", recording)
+        results = record_solves(monkeypatch)
         rng = np.random.default_rng(45)
         coords = [zero_sum_part(rng.uniform(-1.0, 1.0, 4)), zero_sum_part(grid.values[:, 777])]
         heights = [psi(grid, v) for v in coords]
         assert len(results) == 2
-        assert all(sum(r.pivots) <= GRID_PSI_PIVOT_BOUND for r in results)
+        assert_vertex_starts(results)
+        assert all(sum(r.pivots) <= GRID_PSI_PIVOT_BOUND for _, r in results)
         assert heights[1] == pytest.approx(float(grid.values[:, 777].mean()), abs=1e-12)
         pytest.importorskip("scipy")
         for v, h in zip(coords, heights):
@@ -276,6 +278,98 @@ class TestSupportGap:
         with pytest.raises(ArgumentError, match="7028847 actions"):
             log_loss_grid(labeled("t", 6), 64)
         assert time.perf_counter() - start < 0.5
+
+
+def _integer_loss(rng, n_t, n_a):
+    # entries in {0, 1, 2}: ties between actions and degenerate vertices
+    vals = rng.integers(0, 3, (n_t, n_a)).astype(float)
+    return LossMatrix(labeled("t", n_t), labeled("a", n_a), vals)
+
+
+class TestEpigraphVertexStart:
+    """Every epigraph LP starts at the reference columns: phase one is empty."""
+
+    def _assert_minimax(self, L, e):
+        res = minimax_risk(L, e)
+        prior = res.least_favorable_prior
+        assert min_bayes_risk(L, e, prior).value == pytest.approx(res.value, abs=1e-12)
+        assert max_risk(L, e, res.rule) == pytest.approx(res.value, abs=1e-12)
+        return res
+
+    def test_minimax_on_random_instances(self, monkeypatch):
+        seen = record_solves(monkeypatch)
+        rng = np.random.default_rng(91)
+        for k in range(500):
+            n_t, n_z, n_a = (int(rng.integers(lo, hi)) for lo, hi in ((2, 6), (1, 5), (1, 5)))
+            if k % 3:
+                L = random_loss(rng, labeled("t", n_t), n_a)
+            else:
+                L = _integer_loss(rng, n_t, n_a)
+            self._assert_minimax(L, random_markov(rng, L.unknowns, labeled("z", n_z)))
+        assert len(seen) == 500
+        assert_vertex_starts(seen)
+
+    def test_minimax_without_data(self, monkeypatch):
+        seen = record_solves(monkeypatch)
+        res = self._assert_minimax(L01, terminal(THETA))
+        assert res.value == pytest.approx(0.5, abs=1e-12)
+        rng = np.random.default_rng(92)
+        for _ in range(20):
+            L = random_loss(rng, labeled("t", int(rng.integers(2, 5))), int(rng.integers(1, 5)))
+            self._assert_minimax(L, terminal(L.unknowns))
+        assert_vertex_starts(seen)
+
+    def test_minimax_with_one_action(self, monkeypatch):
+        # the one rule's risk is the loss column itself
+        seen = record_solves(monkeypatch)
+        L = LossMatrix(labeled("t", 3), labeled("a", 1), [[0.2], [0.7], [-0.1]])
+        e = random_markov(np.random.default_rng(93), L.unknowns, labeled("z", 3))
+        res = self._assert_minimax(L, e)
+        assert res.value == pytest.approx(0.7, abs=1e-12)
+        np.testing.assert_allclose(res.least_favorable_prior.weights, [0.0, 1.0, 0.0], atol=1e-12)
+        assert_vertex_starts(seen)
+
+    def test_minimax_with_tied_integer_losses(self, monkeypatch):
+        seen = record_solves(monkeypatch)
+        rng = np.random.default_rng(94)
+        self._assert_minimax(zero_one_loss(labeled("t", 3)), terminal(labeled("t", 3)))
+        for _ in range(40):
+            L = _integer_loss(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+            e = random_markov(rng, L.unknowns, labeled("z", int(rng.integers(1, 4))))
+            self._assert_minimax(L, e)
+        assert_vertex_starts(seen)
+
+    def test_support_gap_with_one_action(self, monkeypatch):
+        # the gap of v is min_t (v - L)[t], at the point mass on its argmin
+        seen = record_solves(monkeypatch)
+        L = LossMatrix(labeled("t", 3), labeled("a", 1), [[0.5], [-0.25], [1.0]])
+        gap, P = support_gap(L, [0.0, 0.5, 0.2])
+        assert gap == pytest.approx(-0.8, abs=1e-12)
+        np.testing.assert_allclose(P, [0.0, 0.0, 1.0], atol=1e-12)
+        assert_vertex_starts(seen)
+
+    def test_support_gap_at_the_reference_column(self, monkeypatch):
+        # the reference column is Bayes for uniform weights, so the
+        # starting point already attains the height of its coordinate
+        seen = record_solves(monkeypatch)
+        rng = np.random.default_rng(95)
+        for k in range(60):
+            n_t, n_a = int(rng.integers(2, 6)), int(rng.integers(1, 8))
+            L = _integer_loss(rng, n_t, n_a) if k % 2 else random_loss(rng, labeled("t", n_t), n_a)
+            col = L.values[:, int(np.argmin(L.values.sum(axis=0)))]
+            gap, P = support_gap(L, zero_sum_part(col))
+            assert P.sum() == pytest.approx(1.0, abs=1e-12)
+            assert -gap == pytest.approx(float(col.mean()), abs=1e-12)
+        assert_vertex_starts(seen)
+
+    def test_achievable_actions(self, monkeypatch):
+        # bias_variance's heights are pinned in test_risk's TestBiasVariance
+        seen = record_solves(monkeypatch)
+        grid = log_loss_grid(labeled("t", 3), 8)
+        assert all(is_achievable(grid, a) for a in grid.actions.labels)
+        L = LossMatrix(THETA, labeled("a", 3), [[0.0, 1.0, 0.6], [1.0, 0.0, 0.6]])
+        assert [is_achievable(L, a) for a in L.actions.labels] == [True, True, False]
+        assert_vertex_starts(seen)
 
 
 class TestCanonicalLoss:

@@ -38,12 +38,6 @@ class TestExamples:
         assert res.status == lp.OPTIMAL
         np.testing.assert_allclose(res.primal, [1.0, 0.0], atol=1e-12)
 
-    def test_free_variable(self):
-        # min x with x free and x >= -3 written as -x <= 3
-        res = solve([1.0], a_ub=[[-1.0]], b_ub=[3.0], free=[True])
-        assert res.status == lp.OPTIMAL
-        assert res.value == pytest.approx(-3.0, abs=1e-12)
-
     def test_negative_rhs_equality(self):
         res = solve([0.0, 1.0], a_eq=[[-1.0, 0.0]], b_eq=[-2.0])
         assert res.status == lp.OPTIMAL

@@ -3,11 +3,13 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 from helpers import (
+    assert_vertex_starts,
     brute_force_min_bayes_risk,
     deterministic_rules,
     random_canonical_setup,
     random_experiment,
     random_randomized_setup,
+    record_solves,
     rule_from_assignment,
 )
 
@@ -65,19 +67,6 @@ def _instance_243():
     unknowns = labeled("t", 3)
     L = random_loss(rng, unknowns, 3, low=0.0)
     return L, random_markov(rng, unknowns, labeled("z", 5))
-
-
-def _recording_solves(monkeypatch) -> list:
-    """Record the result of every ``lp.solve`` call from here on."""
-    results = []
-    solve = lp.solve
-
-    def recording(p):
-        results.append(solve(p))
-        return results[-1]
-
-    monkeypatch.setattr(lp, "solve", recording)
-    return results
 
 
 def _assert_matches_unscreened(L, e):
@@ -455,16 +444,10 @@ class TestBiasVariance:
         grid = log_loss_grid(labeled("t", 3), 8)
         e = random_markov(np.random.default_rng(58), grid.unknowns, labeled("z", 4))
         d = rule_from_assignment(e.target, grid.actions, [0, 5, 11, 20])
-        calls = []
-        solve = lp.solve
-
-        def counting(p):
-            calls.append(p)
-            return solve(p)
-
-        monkeypatch.setattr(lp, "solve", counting)
+        calls = record_solves(monkeypatch)
         res = bias_variance(grid, e, d, "t1")
         assert len(calls) == 5
+        assert_vertex_starts(calls)
         pointwise = risk_profile(grid, e, d)["t1"]
         assert res.bias + res.variance == pytest.approx(pointwise, abs=1e-12)
 
@@ -478,16 +461,10 @@ class TestBiasVariance:
         m[[20, 3], 2] = [0.3, 0.7]
         m[[0, 11], 3] = [0.9, 0.1]
         d = Transition(e.target, grid.actions, m)
-        calls = []
-        solve = lp.solve
-
-        def counting(p):
-            calls.append(p)
-            return solve(p)
-
-        monkeypatch.setattr(lp, "solve", counting)
+        calls = record_solves(monkeypatch)
         res = bias_variance(grid, e, d, "t1")
         assert len(calls) == 6
+        assert_vertex_starts(calls)
         pointwise = risk_profile(grid, e, d)["t1"]
         assert res.bias + res.variance == pytest.approx(pointwise, abs=1e-12)
 
@@ -549,7 +526,7 @@ class TestCompleteClass:
         # losses in [0, 1]; the domination LP of the 152nd rule once
         # cycled to the pivot limit
         L, e = _instance_243()
-        results = _recording_solves(monkeypatch)
+        results = record_solves(monkeypatch)
         rep = complete_class_check(L, e)
         assert len(rep.rules) == 243
         assert rep.ok
@@ -575,12 +552,12 @@ class TestCompleteClass:
         unknowns = labeled("t", 3)
         L = random_loss(rng, unknowns, 4, low=0.0)
         e = random_markov(rng, unknowns, labeled("z", 6))
-        results = _recording_solves(monkeypatch)
+        results = record_solves(monkeypatch)
         rep = complete_class_check(L, e)
         assert len(rep.rules) == ENUMERATION_CAP
         assert rep.ok
         assert len(results) == CAP_LPS
-        assert sum(sum(r.pivots) for r in results) <= CAP_PIVOT_BOUND
+        assert sum(sum(r.pivots) for _, r in results) <= CAP_PIVOT_BOUND
 
     def test_screens_match_unscreened_on_243_rule_instance(self):
         _assert_matches_unscreened(*_instance_243())
@@ -612,7 +589,7 @@ class TestCompleteClass:
     def test_one_observation_solves_two_lps_per_rule(self, monkeypatch):
         # a pair's program would repeat its rule's own prior program
         labels = LabeledSet(("a", "b", "c"))
-        results = _recording_solves(monkeypatch)
+        results = record_solves(monkeypatch)
         rep = complete_class_check(zero_one_loss(labels), terminal(labels))
         assert all(r.admissible and r.prior is not None for r in rep.rules)
         assert len(results) == 2 * len(rep.rules)
