@@ -99,9 +99,7 @@ def directed_deficiency(e: Transition, e2: Transition, pi: Distribution) -> Defi
     # one row per observation k of e: sum_{i != r[k]} F[i, k] <= 1
     a_sum = np.hstack([np.zeros((n_o, 2 * n_m)), np.equal.outer(np.arange(n_o), obs)])
     c = np.concatenate([np.ones(2 * n_m), np.zeros(n_f)])
-    res = lp.solve(lp.LinearProgram(
-        c, a_ub=a_sum, b_ub=np.ones(n_o), a_eq=a_gap, b_eq=b_gap.ravel()
-    ))
+    res = lp.solve(lp.LinearProgram._unchecked(c, a_sum, np.ones(n_o), a_gap, b_gap.ravel()))
     if not res.is_optimal:
         raise SolverError(f"deficiency program did not solve: {res.status}")
     f = np.zeros((n_o2, n_o))

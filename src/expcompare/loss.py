@@ -157,8 +157,8 @@ def _epigraph(
     lies in one 0/1 sum row.  It starts at a feasible vertex: each sum row
     keeps as reference ``ref`` its column with the lowest total in ``A``
     (the best reply to uniform weights, lowest index on ties), and
-    ``x_ref`` becomes one minus the rest of its row, a ``<= 1`` row.  The
-    level is ``top - s`` with ``s >= 0`` and ``top`` one above the largest
+    ``x_ref`` becomes one minus the rest of its row, a ``<= 1`` row
+    unless ``ref`` is alone in it.  The level is ``top - s`` with ``s >= 0`` and ``top`` one above the largest
     entry at the references, so every right-hand side is nonnegative and
     phase one takes no pivot.  As ``s >= 1`` at the optimum, ``s`` is
     basic and the duals of the rows of ``A`` sum to ``-1`` up to rounding.
@@ -171,15 +171,17 @@ def _epigraph(
     rest[ref] = False
     excess = A[:, ref].sum(axis=1) - b
     top = excess.max() + 1.0
+    sum_rows = sums[:, rest]
+    sum_rows = sum_rows[sum_rows.any(axis=1)]
     # columns: the non-reference x, then s; rows: those of A, then the sums
-    a_ub = np.zeros((n_rows + k, n - k + 1))
+    a_ub = np.zeros((n_rows + len(sum_rows), n - k + 1))
     a_ub[:n_rows, :-1] = (A - A[:, ref] @ sums)[:, rest]
     a_ub[:n_rows, -1] = 1.0
-    a_ub[n_rows:, :-1] = sums[:, rest]
+    a_ub[n_rows:, :-1] = sum_rows
     c = np.zeros(n - k + 1)
     c[-1] = -1.0  # maximize s
-    b_ub = np.concatenate([top - excess, np.ones(k)])
-    res = lp.solve(lp.LinearProgram(c, a_ub=a_ub, b_ub=b_ub))
+    b_ub = np.concatenate([top - excess, np.ones(len(sum_rows))])
+    res = lp.solve(lp.LinearProgram._unchecked(c, a_ub, b_ub))
     if not res.is_optimal:  # a bounded level over a nonempty polytope
         raise SolverError(f"epigraph program did not solve: {res.status}")
     x = np.zeros(n)

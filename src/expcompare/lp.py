@@ -10,11 +10,14 @@ reduced costs ``d_j``, the largest ``d_j**2 / (1 + ||tab[:m, j]||**2)``,
 read off the dense tableau.  After ``DEGENERATE_STREAK`` degenerate
 pivots in a row it falls back to Bland's rule until a pivot makes
 progress, so it cannot cycle.  The leaving row is always Bland's.
-The tableau is built from the program in one step.  Phase one starts
-from a crash basis: every column that is a unit vector, once rows are
-signed to nonnegative right-hand sides, starts basic in its row, and
-only the rows left over get artificial columns.  One pricing routine
-fills the reduced-cost row for both phases.
+The tableau is built once from the program's arrays and pivoted in
+place.  Phase one starts from a crash basis: every column that is a unit
+vector, once rows are signed to nonnegative right-hand sides, starts
+basic in its row; only the rows left over get artificial columns, and a
+program with none skips phase one.  One pricing routine fills the
+reduced-cost row for both phases.  Public ``LinearProgram`` construction
+copies, checks and freezes its arrays; the library's own programs skip
+that (``LinearProgram._unchecked``).  Feasibility is ``solve``'s status.
 Every rule breaks ties by index, so a given program always takes the
 same pivot path: re-solving an identical program yields a bit-for-bit
 identical result.  ``LPResult.pivots`` reports the pivots of each phase.
@@ -109,6 +112,15 @@ class LinearProgram:
             val.setflags(write=False)
             object.__setattr__(self, name, val)
 
+    @classmethod
+    def _unchecked(cls, c, a_ub, b_ub, a_eq=None, b_eq=None) -> LinearProgram:
+        """A program on float arrays the library built itself: no copy, no checks."""
+        p = object.__new__(cls)
+        if a_eq is None:
+            a_eq, b_eq = np.zeros((0, c.size)), np.zeros(0)
+        p.__dict__.update(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        return p
+
     @property
     def n_vars(self) -> int:
         return self.c.shape[0]
@@ -159,12 +171,11 @@ def _run_simplex(
     m = tab.shape[0] - 1
     n = tab.shape[1] - 1
     rhs = tab[:m, n]
-    ratios = np.empty(m)
     streak = 0
     max_iter = _max_iter(m, n)
     for it in range(max_iter + 1):
         costs = tab[m, :n_eligible]
-        neg = np.flatnonzero(costs < -PIVOT_TOL)
+        neg = (costs < -PIVOT_TOL).nonzero()[0]
         if neg.size == 0:
             return True, it
         if it == max_iter:
@@ -172,24 +183,25 @@ def _run_simplex(
         if streak < DEGENERATE_STREAK:
             cols = tab[:m, neg]
             d = costs[neg]
-            c = int(neg[np.argmax(d * d / (1.0 + np.einsum("ij,ij->j", cols, cols)))])
+            c = int(neg[(d * d / (1.0 + np.einsum("ij,ij->j", cols, cols))).argmax()])
         else:
             c = int(neg[0])
 
         col = tab[:m, c]
-        positive = col > PIVOT_TOL
-        if not positive.any():
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
             return False, it
-        ratios.fill(np.inf)
-        np.divide(rhs, col, out=ratios, where=positive)
-        r = int(ratios.argmin())
-        best = ratios[r]
+        ratios = rhs[rows] / col[rows]
+        k = ratios.argmin()
+        best = ratios[k]
         ties = ratios == best
         if np.count_nonzero(ties) > 1:
             # Bland leaving rule: among minimal ratios, the row whose basic
             # variable has the smallest index.
-            ties = np.flatnonzero(ties)
-            r = int(ties[np.argmin(basis[ties])])
+            ties = rows[ties]
+            r = int(ties[basis[ties].argmin()])
+        else:
+            r = int(rows[k])
         streak = streak + 1 if best <= PIVOT_TOL else 0
         _pivot(tab, r, c)
         basis[r] = c
@@ -203,20 +215,16 @@ def _price(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
     """Fill the bottom row of ``tab`` with the reduced costs of ``cost``.
 
     Each basic row is subtracted, scaled by its column's cost, in row
-    order; rows whose basic column costs nothing are skipped.
+    order; rows whose basic column costs nothing are skipped.  Basic
+    columns are unit columns, so one subtraction leaves the others' costs.
     """
-    obj = tab[-1]
-    obj[:] = cost
-    for i, j in enumerate(basis):
-        cb = obj[j]
-        if cb != 0.0:
-            obj -= cb * tab[i]
+    cb = cost[basis]
+    rows = cb.nonzero()[0]
+    tab[-1] = np.subtract.reduce(np.vstack([cost, cb[rows, None] * tab[rows]]), axis=0)
 
 
-def _phase_one(
-    p: LinearProgram,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Build the simplex tableau of ``p`` and pivot phase one to its optimum.
+def _build(p: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The signed simplex tableau of ``p`` and its crash basis.
 
     The tableau has ``m`` constraint rows, then the reduced-cost row, and
     the columns: the variables, one slack per ``<=`` row, the
@@ -224,45 +232,52 @@ def _phase_one(
     right-hand side is nonnegative.  Then any column that is a unit
     vector (a single ``+1``) starts basic in its row, the lowest index
     winning; only rows left without one get an artificial column.
-    Returns ``(tab, basis, basis0, sign, n_struct, pivots)``: ``basis0``
-    is the starting basis, ``sign`` the row signs and ``n_struct`` the
-    number of columns before the artificials.
+    Returns ``(tab, basis0, sign, n_struct)``: ``basis0`` is the starting
+    basis, ``sign`` the row signs and ``n_struct`` the number of columns
+    before the artificials.
     """
     n, n_eq, n_ub = p.n_vars, p.b_eq.size, p.b_ub.size
     m = n_eq + n_ub
     n_struct = n + n_ub
-    b = np.concatenate([p.b_eq, p.b_ub])
-    sign = np.where(b < 0.0, -1.0, 1.0)
-    rows = np.zeros((m, n_struct))
-    rows[:n_eq, :n] = p.a_eq
-    rows[n_eq:, :n] = p.a_ub
-    rows[np.arange(n_eq, m), np.arange(n, n_struct)] = 1.0
-    rows *= sign[:, None]
+    tab = np.zeros((m + 1, n_struct + 1))
+    tab[:n_eq, :n] = p.a_eq
+    tab[n_eq:m, :n] = p.a_ub
+    tab[np.arange(n_eq, m), np.arange(n, n_struct)] = 1.0
+    tab[:n_eq, -1] = p.b_eq
+    tab[n_eq:m, -1] = p.b_ub
+    flip = tab[:m, -1] < 0.0
+    sign = np.where(flip, -1.0, 1.0)
+    tab[:m][flip] *= -1.0
+    rows = tab[:m, :n_struct]
     nonzero = rows != 0.0
-    unit = np.flatnonzero((nonzero.sum(axis=0) == 1) & (rows.sum(axis=0) == 1.0))
+    unit = ((nonzero.sum(axis=0) == 1) & (rows.sum(axis=0) == 1.0)).nonzero()[0]
     basis0 = np.full(m, -1, dtype=np.int64)
     if unit.size:
         # a stable unique keeps the first, so lowest, unit column per row
         taken, first = np.unique(nonzero[:, unit].argmax(axis=0), return_index=True)
         basis0[taken] = unit[first]
-    art_rows = np.flatnonzero(basis0 < 0)
-    n_total = n_struct + art_rows.size
-    basis0[art_rows] = np.arange(n_struct, n_total)
-    tab = np.zeros((m + 1, n_total + 1))
-    tab[:m, :n_struct] = rows
-    tab[art_rows, basis0[art_rows]] = 1.0
-    tab[:m, n_total] = b * sign
+    art_rows = (basis0 < 0).nonzero()[0]
+    if art_rows.size:
+        arts = np.zeros((m + 1, art_rows.size))
+        arts[art_rows, np.arange(art_rows.size)] = 1.0
+        tab = np.hstack([tab[:, :n_struct], arts, tab[:, n_struct:]])
+        basis0[art_rows] = np.arange(n_struct, n_struct + art_rows.size)
+    return tab, basis0, sign, n_struct
+
+
+def _phase_one(tab: np.ndarray, basis: np.ndarray, n_struct: int) -> int:
+    """Pivot phase one of a built tableau to its optimum; return its pivots."""
+    n_total = tab.shape[1] - 1
     cost = np.zeros(n_total + 1)
     cost[n_struct:n_total] = 1.0
-    basis = basis0.copy()
     _price(tab, basis, cost)
     bounded, pivots = _run_simplex("one", tab, basis, n_total)
     if not bounded:
         raise SolverError(
             f"phase one reported an unbounded objective "
-            f"({pivots} pivots on a {m + 1}x{n_total + 1} tableau)"
+            f"({pivots} pivots on a {tab.shape[0]}x{n_total + 1} tableau)"
         )
-    return tab, basis, basis0, sign, n_struct, pivots
+    return pivots
 
 
 def _max_iter(m: int, n: int) -> int:
@@ -272,23 +287,19 @@ def _max_iter(m: int, n: int) -> int:
     return 100 + 10 * (m + n)
 
 
-def feasible(p: LinearProgram) -> bool:
-    """Whether the program has any feasible point (phase one only)."""
-    tab = _phase_one(p)[0]
-    return bool(-tab[-1, -1] <= FEAS_TOL)
-
-
 def solve(p: LinearProgram) -> LPResult:
     """Solve the program; status is optimal, infeasible or unbounded."""
-    tab, basis, basis0, sign, n_struct, pivots1 = _phase_one(p)
+    tab, basis0, sign, n_struct = _build(p)
     m, n_total = tab.shape[0] - 1, tab.shape[1] - 1
+    basis = basis0.copy()
+    pivots1 = _phase_one(tab, basis, n_struct) if n_total > n_struct else 0
     if -tab[m, n_total] > FEAS_TOL:
         return LPResult(status=INFEASIBLE, pivots=(pivots1, 0))
 
     # Drive leftover artificials out of the basis where possible; rows with
     # no eligible pivot are redundant and keep a zero-level artificial.
-    for i in np.flatnonzero(basis >= n_struct):
-        cands = np.flatnonzero(np.abs(tab[i, :n_struct]) > PIVOT_TOL)
+    for i in (basis >= n_struct).nonzero()[0]:
+        cands = (np.abs(tab[i, :n_struct]) > PIVOT_TOL).nonzero()[0]
         if cands.size:
             _pivot(tab, i, int(cands[0]))
             basis[i] = cands[0]

@@ -309,9 +309,7 @@ def _best_dominating(K: np.ndarray, sums: np.ndarray, target: np.ndarray) -> flo
     """
     risks = K.reshape(len(K), -1)
     res = lp.solve(
-        lp.LinearProgram(
-            risks.sum(axis=0), a_ub=risks, b_ub=target, a_eq=sums, b_eq=np.ones(len(sums))
-        )
+        lp.LinearProgram._unchecked(risks.sum(axis=0), risks, target, sums, np.ones(len(sums)))
     )
     if not res.is_optimal:
         raise SolverError(f"domination program did not solve: {res.status}")
@@ -454,12 +452,8 @@ def _bayes_program(K: np.ndarray, g: np.ndarray) -> lp.LPResult:
     gains = scores - scores[np.arange(len(g)), g][:, None, :]
     gains = gains[np.arange(n_a)[None, :] != g[:, None]]
     return lp.solve(
-        lp.LinearProgram(
-            np.zeros(n_t),
-            a_ub=-gains,
-            b_ub=np.zeros(gains.shape[0]),
-            a_eq=np.ones((1, n_t)),
-            b_eq=[1.0],
+        lp.LinearProgram._unchecked(
+            np.zeros(n_t), -gains, np.zeros(gains.shape[0]), np.ones((1, n_t)), np.ones(1)
         )
     )
 

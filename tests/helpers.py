@@ -56,7 +56,7 @@ def assert_vertex_starts(seen) -> None:
     """Each recorded program has no artificial column and no phase-one pivot."""
     assert seen
     for p, res in seen:
-        tab, *_, n_struct, _ = lp._phase_one(p)
+        tab, *_, n_struct = lp._build(p)
         assert tab.shape[1] - 1 == n_struct  # no artificial column
         assert res.is_optimal and res.pivots[0] == 0
 

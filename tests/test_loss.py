@@ -39,6 +39,7 @@ from expcompare import (
     zero_one_loss,
     zero_sum_part,
 )
+from expcompare import lp
 from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 from expcompare.loss import GRID_CAP, support_gap
 
@@ -320,14 +321,17 @@ class TestEpigraphVertexStart:
         assert_vertex_starts(seen)
 
     def test_minimax_with_one_action(self, monkeypatch):
-        # the one rule's risk is the loss column itself
+        # the one rule's risk is the loss column itself; each sum row holds
+        # only its reference, so the tableau keeps just the rows of the loss
         seen = record_solves(monkeypatch)
         L = LossMatrix(labeled("t", 3), labeled("a", 1), [[0.2], [0.7], [-0.1]])
         e = random_markov(np.random.default_rng(93), L.unknowns, labeled("z", 3))
         res = self._assert_minimax(L, e)
-        assert res.value == pytest.approx(0.7, abs=1e-12)
-        np.testing.assert_allclose(res.least_favorable_prior.weights, [0.0, 1.0, 0.0], atol=1e-12)
+        assert res.value == 0.7
+        assert res.least_favorable_prior.weights.tolist() == [0.0, 1.0, 0.0]
         assert_vertex_starts(seen)
+        (p, _), = seen
+        assert lp._build(p)[0].shape == (3 + 1, 1 + 3 + 1)  # rows: |T| and costs
 
     def test_minimax_with_tied_integer_losses(self, monkeypatch):
         seen = record_solves(monkeypatch)

@@ -1,9 +1,23 @@
+import pickle
+
 import numpy as np
 import pytest
-from helpers import random_program
+from helpers import random_program, record_solves
 
-from expcompare import ArgumentError, LinearProgram, ShapeError, SolverError
-from expcompare import lp
+from expcompare import (
+    ArgumentError,
+    LinearProgram,
+    ShapeError,
+    SolverError,
+    Transition,
+    complete_class_check,
+    directed_deficiency,
+    log_loss_grid,
+    lp,
+    psi,
+    uniform,
+)
+from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 
 
 def solve(*args, **kwargs):
@@ -65,20 +79,23 @@ class TestExamples:
 
 class TestFeasible:
     def test_box(self):
-        assert lp.feasible(LinearProgram([0.0], a_ub=[[1.0]], b_ub=[1.0]))
+        assert solve([0.0], a_ub=[[1.0]], b_ub=[1.0]).status != lp.INFEASIBLE
 
     def test_empty(self):
-        assert not lp.feasible(LinearProgram([0.0], a_ub=[[1.0]], b_ub=[-1.0]))
+        assert solve([0.0], a_ub=[[1.0]], b_ub=[-1.0]).status == lp.INFEASIBLE
 
     def test_simplex_nonempty(self):
-        assert lp.feasible(LinearProgram([0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
+        assert solve([0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]).status != lp.INFEASIBLE
 
     def test_agrees_with_solve(self):
-        # phase one alone decides feasibility, and the answer is a plain bool
+        # phase one alone decides feasibility: its residual on the built
+        # tableau, and a program without artificials is feasible unpivoted
         for seed in range(1000):
             p = random_program(seed)
-            ok = lp.feasible(p)
-            assert type(ok) is bool
+            tab, basis0, _, n_struct = lp._build(p)
+            if tab.shape[1] - 1 > n_struct:
+                lp._phase_one(tab, basis0, n_struct)
+            ok = -tab[-1, -1] <= lp.FEAS_TOL
             assert ok == (lp.solve(p).status != lp.INFEASIBLE)
 
 
@@ -302,8 +319,8 @@ class TestPivotRule:
 class TestCrashBasis:
     @staticmethod
     def crash(p):
-        """Starting basis and artificial count of the phase-one tableau."""
-        tab, _, basis0, _, n_struct, _ = lp._phase_one(p)
+        """Starting basis and artificial count of the built tableau."""
+        tab, basis0, _, n_struct = lp._build(p)
         return list(basis0), tab.shape[1] - 1 - n_struct
 
     def test_unit_columns_replace_artificials(self):
@@ -328,3 +345,118 @@ class TestCrashBasis:
         # row 0 and the negated <= row get the artificials 4 and 5
         assert self.crash(p) == ([4, 2, 5], 2)
         assert lp.solve(p).status == lp.INFEASIBLE
+
+
+class TestUncheckedPrograms:
+    """The library's own programs skip the copy; public construction keeps it."""
+
+    @staticmethod
+    def arrays(p):
+        return [np.array(a) for a in (p.c, p.a_ub, p.b_ub, p.a_eq, p.b_eq)]
+
+    def test_same_result_as_public(self):
+        for seed in range(1000):
+            c, a_ub, b_ub, a_eq, b_eq = self.arrays(random_program(seed))
+            public = lp.solve(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq))
+            if b_eq.size:
+                unchecked = LinearProgram._unchecked(c, a_ub, b_ub, a_eq, b_eq)
+            else:  # a missing equality block gets no rows
+                unchecked = LinearProgram._unchecked(c, a_ub, b_ub)
+            assert pickle.dumps(lp.solve(unchecked)) == pickle.dumps(public)
+
+    def test_public_construction_copies(self):
+        c, a_ub, b_ub, a_eq, b_eq = self.arrays(random_program(1))
+        p = LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        before = pickle.dumps(lp.solve(p))
+        for a in (c, a_ub, b_ub, a_eq, b_eq):
+            a += 1.0
+        assert np.array_equal(p.c, c - 1.0) and np.array_equal(p.b_ub, b_ub - 1.0)
+        assert pickle.dumps(lp.solve(p)) == before
+
+    @pytest.mark.parametrize("field", ["c", "a_ub", "b_ub", "a_eq", "b_eq"])
+    def test_public_construction_rejects_nan(self, field):
+        arrays = dict(zip(("c", "a_ub", "b_ub", "a_eq", "b_eq"), self.arrays(random_program(1))))
+        arrays[field].flat[0] = np.nan
+        with pytest.raises(ArgumentError, match="NaN"):
+            LinearProgram(**arrays)
+
+
+def _price_by_rows(tab, basis, cost):
+    """Reference for ``lp._price``: one basic row at a time, in row order."""
+    obj = tab[-1]
+    obj[:] = cost
+    for i, j in enumerate(basis):
+        cb = obj[j]
+        if cb != 0.0:
+            obj -= cb * tab[i]
+
+
+class TestPrice:
+    def test_equals_the_row_loop(self):
+        # on the crash basis and on the basis phase one ends at, with costs
+        # that are zero on some basic columns
+        rng = np.random.default_rng(27)
+        for seed in range(300):
+            tab, basis, _, n_struct = lp._build(random_program(seed))
+            if tab.shape[1] - 1 > n_struct and seed % 2:
+                lp._phase_one(tab, basis, n_struct)
+            cost = rng.uniform(-2.0, 2.0, tab.shape[1]) * rng.integers(0, 2, tab.shape[1])
+            ref = tab.copy()
+            _price_by_rows(ref, basis, cost)
+            lp._price(tab, basis, cost)
+            assert tab.tobytes() == ref.tobytes()
+
+
+def _phase_totals(seen) -> tuple[int, int]:
+    return tuple(sum(res.pivots[k] for _, res in seen) for k in (0, 1))
+
+
+class TestPinnedPivotPaths:
+    """Pivots per phase on seeded program sets, pinned as counted before
+    the tableau build was split from phase one.  A change to the pivot
+    loop that alters any pivot path changes these totals."""
+
+    @pytest.mark.parametrize("size, kind, pinned", [
+        (4, "random", (0, 269)),
+        (4, "divisible", (0, 342)),
+        (6, "random", (0, 657)),
+        (6, "divisible", (0, 990)),
+    ])
+    def test_deficiency(self, monkeypatch, size, kind, pinned):
+        rng = np.random.default_rng(size)
+        theta, z, w = labeled("t", size), labeled("z", size), labeled("w", size)
+        seen = record_solves(monkeypatch)
+        for _ in range(20):
+            e = random_markov(rng, theta, z)
+            if kind == "random":
+                directed_deficiency(e, random_markov(rng, theta, w), random_distribution(rng, theta))
+            else:  # F∘e under the uniform prior, as divides solves it
+                f = rng.dirichlet(np.ones(size), size=size).T
+                directed_deficiency(e, Transition(theta, w, f @ e.matrix), uniform(theta))
+        assert len(seen) == 20 and _phase_totals(seen) == pinned
+
+    def test_psi_on_the_log_loss_grid(self, monkeypatch):
+        grid = log_loss_grid(labeled("t", 3), 32)
+        assert len(grid.actions) == 465
+        rng = np.random.default_rng(32)
+        seen = record_solves(monkeypatch)
+        for k in range(12):
+            if k % 2:
+                v = rng.uniform(-1.0, 1.0, 3)
+            else:  # an achievable column
+                v = grid.values[:, rng.integers(465)]
+            psi(grid, v - v.mean())
+        assert len(seen) == 12 and _phase_totals(seen) == (0, 105)
+
+    def test_complete_class_programs(self, monkeypatch):
+        # the 243-rule instance of test_risk; priors have one variable per unknown
+        rng = np.random.default_rng(42)
+        L = random_loss(rng, labeled("t", 3), 3, low=0.0)
+        e = random_markov(rng, L.unknowns, labeled("z", 5))
+        seen = record_solves(monkeypatch)
+        complete_class_check(L, e)
+        prior = [(p, res) for p, res in seen if p.n_vars == 3]
+        domination = [(p, res) for p, res in seen if p.n_vars != 3]
+        assert (len(domination), len(prior)) == (31, 47)
+        assert _phase_totals(domination) == (219, 19)
+        assert _phase_totals(prior) == (165, 0)
