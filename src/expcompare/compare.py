@@ -179,10 +179,10 @@ def randomization_check(
     Every sampled loss is checked against that bound at slack 1e-7, and
     gaps are reported normalized by ``diam(L)``; the largest normalized
     absolute gap is then a lower bound for the symmetrized deficiency.
-    Losses are drawn reproducibly from ``seed`` as the stream of
-    :func:`~expcompare._samplers.random_loss`: per trial a count of 2 to
-    4 actions, then entries uniform in [-1, 1].  They are zero-padded to
-    4 actions and scored per block of :func:`~expcompare._samplers.blocks`
+    Losses are drawn reproducibly from ``seed``: per trial an action
+    count ``integers(2, 5)``, then the entries ``uniform(-1, 1)``,
+    unknowns by actions.  They are zero-padded to 4 actions and scored
+    per block of :func:`~expcompare._samplers.blocks`
     by the stacked Bayes-risk kernel that :func:`~expcompare.dpi_check`
     shares, which gives the values of :func:`~expcompare.min_bayes_risk`.
     """

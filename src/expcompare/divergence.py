@@ -12,9 +12,9 @@ For the identification loss on two unknowns this is half the variation
 between the two outcome distributions; for the log-loss lattice it
 approximates the mutual information.  All these quantities can only
 shrink under post-processing; :func:`dpi_check` samples that
-monotonicity with a seeded generator.  It draws the same stream as the
-samplers of :mod:`~expcompare._samplers` would, one trial at a time, and
-evaluates the draws as zero-padded stacks of at most
+monotonicity with a seeded generator.  It draws each trial's sizes and
+Dirichlet(1) columns in order, one trial at a time, and evaluates the
+draws as zero-padded stacks of at most
 :data:`~expcompare._samplers.TRIAL_BLOCK` trials; its violation counts
 equal those of the per-trial functions here and its largest excess
 agrees with theirs within 1e-12.
@@ -171,13 +171,15 @@ def dpi_check(kind: str, trials: int, seed: int = 0) -> DpiReport:
     (a violation when above :data:`DPI_SLACK`; an undefined ``inf - inf``
     excess is neither a violation nor a maximum).
 
-    Each trial draws from ``seed`` exactly what the samplers of
-    :mod:`~expcompare._samplers` would: the source and target sizes, the
-    post-processing's columns, then ``P`` and ``Q``, or the unknowns
-    count, the experiment's columns and the prior, and for ``risk_gap``
-    the action count and the loss.  The draws are zero-padded to size 4
-    and evaluated in the blocks of :func:`~expcompare._samplers.blocks`,
-    with the ingestion checks of :class:`~expcompare.core.Transition` and
+    Each trial draws from ``seed``, in this order: the source and target
+    sizes (``integers(2, 5)`` each) and the post-processing's columns
+    (flat ``dirichlet``, one per source outcome); then either ``P`` and
+    ``Q`` (flat ``dirichlet``), or the unknowns count, the experiment's
+    columns and the prior, and for ``risk_gap`` the action count and the
+    loss (``uniform(-1, 1)``, unknowns by actions).  The draws are
+    zero-padded to size 4 and evaluated in the blocks of
+    :func:`~expcompare._samplers.blocks`, with the ingestion checks of
+    :class:`~expcompare.core.Transition` and
     :class:`~expcompare.core.Distribution` applied to each block's stack
     and to its pushed and composed stacks.  The violation counts equal
     those of the per-trial functions of this module; the largest excess

@@ -102,13 +102,17 @@ class CanonicalPoint:
     psi: float
 
     def __post_init__(self) -> None:
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        if abs(v.sum()) > ACTIVE_TOL:
-            raise ArgumentError(f"coordinate sums to {v.sum():.3g}, expected 0")
-        v = v.copy()
+        v = _zero_sum(np.atleast_1d(np.asarray(self.v, dtype=float))).copy()
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "psi", float(self.psi))
+
+
+def _zero_sum(arr: np.ndarray) -> np.ndarray:
+    """``arr``, once its entries are checked to sum to 0 within :data:`ACTIVE_TOL`."""
+    if abs(arr.sum()) > ACTIVE_TOL:
+        raise ArgumentError(f"coordinate sums to {arr.sum():.3g}, expected 0")
+    return arr
 
 
 def _weights_over(L: LossMatrix, mu: Weighted | np.ndarray, what: str) -> np.ndarray:
@@ -229,9 +233,7 @@ def psi(L: LossMatrix, v) -> float:
     set and touching the entropy somewhere; computed as
     ``max over the simplex of entropy(L, P) - <P, v>``.  Convex in ``v``.
     """
-    arr = _vector_over(L, v, "coordinate")
-    if abs(arr.sum()) > ACTIVE_TOL:
-        raise ArgumentError(f"coordinate sums to {arr.sum():.3g}, expected 0")
+    arr = _zero_sum(_vector_over(L, v, "coordinate"))
     gap, _ = support_gap(L, arr)
     return -gap
 
@@ -250,9 +252,7 @@ def canonical_loss(L: LossMatrix, theta: str, v) -> float:
     a Bayes-achievable action this returns ``L(theta, a)`` exactly.
     """
     i = L.unknowns.index(theta)
-    arr = _vector_over(L, v, "coordinate")
-    if abs(arr.sum()) > ACTIVE_TOL:
-        raise ArgumentError(f"coordinate sums to {arr.sum():.3g}, expected 0")
+    arr = _zero_sum(_vector_over(L, v, "coordinate"))
     return float(-arr[i] + psi(L, -arr))
 
 

@@ -8,10 +8,10 @@ aggregates, the posterior reversal of an experiment, exact optimal rules
 (Bayes from the joint scores, one observation at a time, minimax via an
 LP with the least favorable prior read off the duals), a bias/variance
 split of the pointwise risk of any rule, deterministic or randomized, in
-canonical coordinates, and admissibility checks with supporting-prior
-extraction for the deterministic rules of a finite instance, from the
-per-observation Bayes conditions (Bayes risk separates over
-observations).
+canonical coordinates, and admissibility checks for the deterministic
+rules of a finite instance, where each admissible rule's domination LP
+also yields a full-support prior under which it is Bayes (the complete
+class theorem, read off the duals).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .core import EPS_TOL, Distribution, LabeledSet, Transition, deterministic
+from .core import EPS_TOL, Distribution, LabeledSet, Transition, _integer, deterministic
 from .errors import ArgumentError, ShapeError, SolverError
 from .loss import LossMatrix, _epigraph, psi, zero_sum_part
 
@@ -227,6 +227,7 @@ def _rule_assignments(n_obs: int, n_actions: int, cap: int) -> np.ndarray:
     rule in product order (the last observation varies fastest); more
     than ``cap`` rules is an error, raised before anything is allocated.
     """
+    cap = _integer(cap, "cap")
     n_rules = n_actions**n_obs
     if n_rules > cap:
         raise ArgumentError(f"{n_rules} deterministic rules exceed the cap {cap}")
@@ -298,14 +299,19 @@ def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> Bi
     return BiasVariance(float(bias), float(variance))
 
 
-def _best_dominating(K: np.ndarray, sums: np.ndarray, target: np.ndarray) -> float:
+def _best_dominating(
+    K: np.ndarray, sums: np.ndarray, target: np.ndarray
+) -> tuple[float, np.ndarray]:
     """Maximize total pointwise improvement over ``target`` among all rules.
 
     ``K, sums`` come from :func:`_rule_space`.  Minimizes the total risk
     over the rules whose risk is at most ``target`` at every unknown, and
-    returns the total slack ``target.sum() - value``: the largest
+    returns the total slack ``target.sum() - value`` (the largest
     aggregate gain of a rule that weakly beats the target profile
-    everywhere.  The slack of each risk row is the solver's own.
+    everywhere) and the weights ``1 - dual_ub >= 1`` of the unknowns.
+    The slack of each risk row is the solver's own.  By LP duality, under
+    these weights a rule with profile ``target`` scores at most the slack
+    above the Bayes actions, summed over observations.
     """
     risks = K.reshape(len(K), -1)
     res = lp.solve(
@@ -313,7 +319,7 @@ def _best_dominating(K: np.ndarray, sums: np.ndarray, target: np.ndarray) -> flo
     )
     if not res.is_optimal:
         raise SolverError(f"domination program did not solve: {res.status}")
-    return float(target.sum() - res.value)
+    return float(target.sum() - res.value), 1.0 - res.dual_ub
 
 
 def is_admissible(L: LossMatrix, e: Transition, d: Transition) -> bool:
@@ -323,7 +329,7 @@ def is_admissible(L: LossMatrix, e: Transition, d: Transition) -> bool:
     slack; admissible means the optimum is at most the solver tolerance.
     """
     _check_pair(L, e, d)
-    slack = _best_dominating(*_rule_space(L, e), risk_profile(L, e, d).values)
+    slack, _ = _best_dominating(*_rule_space(L, e), risk_profile(L, e, d).values)
     return slack <= lp.FEAS_TOL
 
 
@@ -334,7 +340,7 @@ class RuleReport:
     actions: tuple[str, ...]  # chosen action label per observation
     risk: np.ndarray
     admissible: bool
-    prior: Distribution | None  # a prior for which the rule is Bayes, if any
+    prior: Distribution | None  # full-support prior making it Bayes; admissible rules only
 
 
 @dataclass(frozen=True)
@@ -354,35 +360,25 @@ def complete_class_check(
 
     For every deterministic rule the report records its risk profile,
     whether any rule dominates it (the LP of :func:`_best_dominating`),
-    and a supporting prior (a prior under which it is Bayes, found by the
-    LP of :func:`_supporting_prior`).  The check passes when every
-    admissible rule has a prior; equivalently, every rule without one is
-    dominated.
+    and, for an admissible rule, a full-support prior under which it is
+    Bayes.  The check passes when every admissible rule has a prior, as
+    the complete class theorem says.
 
-    Two exact screens settle most rules before any of their LPs; every
-    rule they leave solves the same LP as without them, and a screened
-    rule gets the verdict its LP would give.
+    The prior is the weights of the rule's domination LP, normalized,
+    kept once the joint scores confirm at each observation that the
+    rule's action is Bayes within ``FEAS_TOL``.  The normalized excess is at
+    most slack / sum(weights), so this holds whenever the verdict is
+    "admissible".  An inadmissible rule gets no prior.
 
-    * Domination: a rule is inadmissible when a deterministic profile
-      ``q`` on the Pareto front of all profiles is ``<=`` its profile
-      ``p`` at every unknown with ``(p - q).sum() > 2 * FEAS_TOL``.  That
-      rule is feasible in the domination LP, so the LP's slack is at
-      least ``(p - q).sum()`` and its verdict is "inadmissible" too.
-      Any profile that beats ``p`` is itself beaten or matched by a
-      front profile, which gains at least as much.
-    * Supporting prior: a rule's prior program holds, for each
-      observation ``z``, the rows that make ``g[z]`` a Bayes action at
-      ``z``.  So the ``|Z||A|`` per-observation programs, the simplex
-      row plus the rows of one pair ``(z, a)`` with the same float
-      coefficients, are solved once (when ``|Z| > 1``), and a rule using
-      a pair without a solution has no prior.  Their inequality rows are homogeneous
-      (right-hand side 0) and keep their slacks as crash columns, so at
-      most the simplex row gets an artificial.  Phase one then minimizes
-      ``1 - sum(pi)`` over a cone, whose optimum is exactly 0 (the cone
-      holds a nonzero point) or 1 (it does not), far from ``FEAS_TOL``
-      either way.  A pair's program is therefore infeasible exactly when
-      it has no solution, and then so is every program containing its
-      rows.
+    An exact screen settles most rules before any LP; every rule it
+    leaves solves the same LP as without it, and a screened rule gets
+    the verdict its LP would give.  A rule is inadmissible when a
+    deterministic profile ``q`` on the Pareto front of all profiles is
+    ``<=`` its profile ``p`` at every unknown with ``(p - q).sum() > 2 *
+    FEAS_TOL``.  That rule is feasible in the domination LP, so the LP's
+    slack is at least ``(p - q).sum()`` and its verdict is "inadmissible"
+    too.  Any profile that beats ``p`` is itself beaten or matched by a
+    front profile, which gains at least as much.
     """
     if e.source != L.unknowns:
         raise ShapeError("experiment source does not match loss unknowns")
@@ -393,21 +389,19 @@ def complete_class_check(
     # profiles[r, t]: rule r's risk at t, summed over the contiguous observation axis
     profiles = np.ascontiguousarray(K[:, obs, rules].sum(axis=2).T)
     dominated = _dominated_by_front(profiles)
-    bayes_pairs = np.ones((n_z, n_a), dtype=bool)
-    if n_z > 1:  # with one observation, a pair's program is its rule's own
-        for z, a in np.ndindex(n_z, n_a):
-            bayes_pairs[z, a] = _bayes_program(K[:, [z]], np.array([a])).is_optimal
-    may_have_prior = bayes_pairs[obs, rules].all(axis=1)
     reports = []
-    for g, profile, beaten, maybe in zip(rules, profiles, dominated, may_have_prior):
-        reports.append(
-            RuleReport(
-                actions=tuple(L.actions.labels[a] for a in g),
-                risk=profile,
-                admissible=not beaten and _best_dominating(K, sums, profile) <= lp.FEAS_TOL,
-                prior=_supporting_prior(L, K, g) if maybe else None,
-            )
-        )
+    for g, profile, beaten in zip(rules, profiles, dominated):
+        admissible, prior = False, None
+        if not beaten:
+            slack, weights = _best_dominating(K, sums, profile)
+            admissible = slack <= lp.FEAS_TOL
+        if admissible:
+            pi = weights / weights.sum()
+            scores = (e.matrix * pi) @ L.values  # scores[z, a], as in min_bayes_risk
+            if (scores[obs, g] - scores.min(axis=1)).max() <= lp.FEAS_TOL:
+                prior = Distribution(L.unknowns, pi)
+        actions = tuple(L.actions.labels[a] for a in g)
+        reports.append(RuleReport(actions, profile, admissible, prior))
     return CompleteClassReport(
         rules=tuple(reports),
         every_admissible_has_prior=all(
@@ -435,35 +429,3 @@ def _dominated_by_front(profiles: np.ndarray) -> np.ndarray:
         dominated |= above & ((profiles - q).sum(axis=1) > 2 * lp.FEAS_TOL)
         left = left[~above[left]]
     return dominated
-
-
-def _bayes_program(K: np.ndarray, g: np.ndarray) -> lp.LPResult:
-    """The simplex row and, per observation ``z``, the rows making ``g[z]`` Bayes.
-
-    ``g`` is Bayes for ``pi`` exactly when each ``g[z]`` is a Bayes action
-    for the weights ``pi * e[z, :]``.  So we need a simplex point with
-    ``sum_t pi_t e[z, t] (L[t, a] - L[t, g[z]]) >= 0`` for every
-    observation ``z`` and action ``a != g[z]``: ``|Z| (|A| - 1)`` rows,
-    whose coefficients come from ``K`` of :func:`_rule_space`.
-    """
-    n_t, _, n_a = K.shape
-    # scores[z, a, t]: coefficient of pi_t in the Bayes score of a at z
-    scores = K.transpose(1, 2, 0)
-    gains = scores - scores[np.arange(len(g)), g][:, None, :]
-    gains = gains[np.arange(n_a)[None, :] != g[:, None]]
-    return lp.solve(
-        lp.LinearProgram._unchecked(
-            np.zeros(n_t), -gains, np.zeros(gains.shape[0]), np.ones((1, n_t)), np.ones(1)
-        )
-    )
-
-
-def _supporting_prior(L: LossMatrix, K: np.ndarray, g: np.ndarray) -> Distribution | None:
-    """A prior under which the deterministic rule ``g`` is Bayes, if one exists.
-
-    The solution of :func:`_bayes_program`.
-    """
-    res = _bayes_program(K, g)
-    if not res.is_optimal:
-        return None
-    return Distribution(L.unknowns, res.primal)

@@ -5,6 +5,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from expcompare import (
+    Distribution,
     LabeledSet,
     LinearProgram,
     LossMatrix,
@@ -13,7 +14,32 @@ from expcompare import (
     is_achievable,
     lp,
 )
-from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
+
+
+def labeled(prefix: str, n: int) -> LabeledSet:
+    return LabeledSet(tuple(f"{prefix}{i}" for i in range(n)))
+
+
+def random_distribution(rng: np.random.Generator, space: LabeledSet) -> Distribution:
+    return Distribution(space, rng.dirichlet(np.ones(len(space))))
+
+
+def random_markov(
+    rng: np.random.Generator, source: LabeledSet, target: LabeledSet
+) -> Transition:
+    cols = rng.dirichlet(np.ones(len(target)), size=len(source))
+    return Transition(source, target, cols.T)
+
+
+def random_loss(
+    rng: np.random.Generator,
+    unknowns: LabeledSet,
+    n_actions: int,
+    low: float = -1.0,
+    high: float = 1.0,
+) -> LossMatrix:
+    vals = rng.uniform(low, high, size=(len(unknowns), n_actions))
+    return LossMatrix(unknowns, labeled("a", n_actions), vals)
 
 
 def deterministic_rules(obs: LabeledSet, actions: LabeledSet):

@@ -8,8 +8,12 @@ import numpy as np
 from helpers import (
     brute_force_min_bayes_risk,
     grid_oracle_2x2,
+    labeled,
     random_canonical_setup,
+    random_distribution,
     random_experiment,
+    random_loss,
+    random_markov,
     random_randomized_setup,
 )
 
@@ -39,7 +43,6 @@ from expcompare import (
     zero_one_loss,
 )
 from expcompare import dpi_check
-from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 
 THETA = LabeledSet(("-1", "1"))
 L01 = zero_one_loss(THETA)

@@ -4,7 +4,11 @@ from helpers import (
     assert_vertex_starts,
     grid_oracle_2x2,
     highs_directed_deficiency,
+    labeled,
+    random_distribution,
     random_experiment,
+    random_loss,
+    random_markov,
     record_solves,
 )
 from hypothesis import given, settings, strategies as st
@@ -34,13 +38,7 @@ from expcompare import (
 )
 from expcompare import _samplers, lp
 from expcompare.risk import SUPPORT_CUTOFF
-from expcompare._samplers import (
-    TRIAL_BLOCK,
-    labeled,
-    random_distribution,
-    random_loss,
-    random_markov,
-)
+from expcompare._samplers import TRIAL_BLOCK
 
 THETA = LabeledSet(("-1", "1"))
 BSC01 = binary_symmetric(0.1)
@@ -367,6 +365,12 @@ class TestGeneralizedDpi:
         e, e2, f, L, _ = self._setup(84)
         with pytest.raises(ArgumentError):
             generalized_dpi(lambda s: 0.0, e, e2, L.actions, f, cap=2)
+
+    @pytest.mark.parametrize("cap", [None, "64", True, 4.0])
+    def test_cap_must_be_an_integer(self, cap):
+        e, e2, f, L, _ = self._setup(84)
+        with pytest.raises(ArgumentError, match="cap must be an integer"):
+            generalized_dpi(lambda s: 0.0, e, e2, L.actions, f, cap=cap)
 
 
 class TestSufficient:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import labeled, random_distribution, random_markov
 
 from expcompare import (
     ArgumentError,
@@ -22,7 +23,6 @@ from expcompare import (
     terminal,
     uniform,
 )
-from expcompare._samplers import labeled, random_distribution, random_markov
 
 AB = LabeledSet(("a", "b"))
 ABC = LabeledSet(("a", "b", "c"))

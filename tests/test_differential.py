@@ -16,6 +16,10 @@ from helpers import (
     coefficients,
     highs_directed_deficiency,
     highs_support_gap,
+    labeled,
+    random_distribution,
+    random_loss,
+    random_markov,
     random_program,
 )
 from hypothesis import example, given, settings, strategies as st
@@ -31,7 +35,6 @@ from expcompare import (
 )
 from expcompare.loss import support_gap
 from expcompare.risk import _best_dominating
-from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 
 #: linprog status codes for the three outcomes of ``lp.solve``.
 HIGHS_STATUS = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}
@@ -139,6 +142,10 @@ def test_domination_programs(seed, n_t, n_z, n_a, integer):
     equality at ``s = 0``, so the programs are degenerate.  The library
     minimizes the total risk with the slacks left to the solver
     (``risk._best_dominating``); its total slack must be the same optimum.
+    When that slack is at most ``FEAS_TOL`` (the rule is admissible), the
+    weights ``1 - dual_ub`` are at least 1 and make the rule Bayes: its
+    excess over the best action, summed over observations, is at most
+    the slack (the complete class theorem, constructively).
     """
     rng = np.random.default_rng(seed)
     L = coefficients(rng, (n_t, n_a), integer)
@@ -158,6 +165,12 @@ def test_domination_programs(seed, n_t, n_z, n_a, integer):
     assert ref.status == 0, ref.message
     assert ours.is_optimal
     assert ours.value == pytest.approx(ref.fun, abs=VALUE_TOL)
-    assert _best_dominating(K, sums, profile) == pytest.approx(-ref.fun, abs=VALUE_TOL)
+    slack, weights = _best_dominating(K, sums, profile)
+    assert slack == pytest.approx(-ref.fun, abs=VALUE_TOL)
+    if slack <= lp.FEAS_TOL:
+        assert weights.min() >= 1.0 - lp.PIVOT_TOL
+        scores = (e * weights) @ L  # scores[z, a]
+        excess = scores[np.arange(n_z), g] - scores.min(axis=1)
+        assert excess.sum() <= max(slack, 0.0) + 1e-9
     dual = float(p.b_eq @ ours.dual_eq + p.b_ub @ ours.dual_ub)
     assert dual == pytest.approx(ref.fun, abs=VALUE_TOL)

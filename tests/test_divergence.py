@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import labeled, random_distribution, random_loss, random_markov
 
 from expcompare import (
     ArgumentError,
@@ -33,13 +34,7 @@ from expcompare import (
     zero_one_loss,
 )
 from expcompare import _samplers, divergence, risk
-from expcompare._samplers import (
-    TRIAL_BLOCK,
-    labeled,
-    random_distribution,
-    random_loss,
-    random_markov,
-)
+from expcompare._samplers import TRIAL_BLOCK
 
 THETA = LabeledSet(("-1", "1"))
 UNIF = uniform(THETA)
@@ -173,8 +168,6 @@ class TestMutualInformation:
 
     def test_bounds(self):
         rng = np.random.default_rng(95)
-        from expcompare._samplers import random_markov
-
         for _ in range(30):
             unknowns = labeled("t", int(rng.integers(2, 5)))
             e = random_markov(rng, unknowns, labeled("z", int(rng.integers(2, 5))))
@@ -187,8 +180,6 @@ class TestMutualInformation:
         # reference: H(pi) - sum_z m_z H(post_z) from the reversal, with a
         # zero prior weight and an observation of zero mass in half the cases
         rng = np.random.default_rng(96)
-        from expcompare._samplers import random_markov
-
         for i in range(40):
             unknowns = labeled("t", int(rng.integers(2, 5)))
             e = random_markov(rng, unknowns, labeled("z", int(rng.integers(2, 5))))
@@ -247,8 +238,6 @@ class TestRiskGap:
 
     def test_nonnegative_on_random_instances(self):
         rng = np.random.default_rng(96)
-        from expcompare._samplers import random_loss, random_markov
-
         for _ in range(25):
             unknowns = labeled("t", int(rng.integers(2, 4)))
             L = random_loss(rng, unknowns, int(rng.integers(2, 4)))
@@ -266,7 +255,6 @@ class TestDpiCheck:
 
     def test_permutation_preserves_mutual_information(self):
         from expcompare import compose, from_function
-        from expcompare._samplers import random_markov
 
         rng = np.random.default_rng(97)
         for _ in range(10):

@@ -6,7 +6,11 @@ import pytest
 from helpers import (
     assert_vertex_starts,
     highs_support_gap,
+    labeled,
     primal_support_gap,
+    random_distribution,
+    random_loss,
+    random_markov,
     record_solves,
 )
 from hypothesis import given, settings
@@ -40,7 +44,6 @@ from expcompare import (
     zero_sum_part,
 )
 from expcompare import lp
-from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 from expcompare.loss import GRID_CAP, support_gap
 
 THETA = LabeledSet(("-1", "1"))

@@ -6,8 +6,12 @@ from helpers import (
     assert_vertex_starts,
     brute_force_min_bayes_risk,
     deterministic_rules,
+    labeled,
     random_canonical_setup,
+    random_distribution,
     random_experiment,
+    random_loss,
+    random_markov,
     random_randomized_setup,
     record_solves,
     rule_from_assignment,
@@ -43,7 +47,6 @@ from expcompare import (
     zero_sum_part,
 )
 from expcompare import lp, risk
-from expcompare._samplers import labeled, random_distribution, random_loss, random_markov
 from expcompare.risk import ENUMERATION_CAP
 
 THETA = LabeledSet(("-1", "1"))
@@ -54,12 +57,13 @@ UNIF = uniform(THETA)
 
 #: Seed and pivot bound of the complete-class case at the enumeration cap:
 #: 3 unknowns, 4 actions and 6 observations give 4096 rules.  Without the
-#: screens of complete_class_check they took 8192 LPs and 44 627 pivots;
-#: with them, 156 LPs and 818 pivots.
+#: screen of complete_class_check their domination LPs take 33 712
+#: pivots; with it, 68 LPs take 593.
 CAP_SEED, CAP_PIVOT_BOUND = 7, 60_000
 #: LPs that complete_class_check solves on the cap instance and on the
-#: 243-rule instance of TestCompleteClass (2 * 4096 and 2 * 243 unscreened)
-CAP_LPS, LPS_243 = 156, 78
+#: 243-rule instance of TestCompleteClass: one domination LP per rule the
+#: screen leaves (4096 and 243 unscreened)
+CAP_LPS, LPS_243 = 68, 31
 
 
 def _instance_243():
@@ -70,7 +74,8 @@ def _instance_243():
 
 
 def _assert_matches_unscreened(L, e):
-    """The report equals one that solves both LPs of every rule."""
+    """The verdicts equal the domination LP of every rule, and exactly the
+    admissible rules have a prior: full support, and the rule is Bayes for it."""
     rep = complete_class_check(L, e)
     K, sums = risk._rule_space(L, e)
     obs = np.arange(len(e.target))
@@ -81,11 +86,14 @@ def _assert_matches_unscreened(L, e):
         profile = K[:, obs, g].sum(axis=1)
         assert r.actions == tuple(L.actions.labels[a] for a in g)
         np.testing.assert_array_equal(r.risk, profile)
-        assert r.admissible == (risk._best_dominating(K, sums, profile) <= lp.FEAS_TOL)
-        prior = risk._supporting_prior(L, K, g)
-        assert (r.prior is None) == (prior is None)
-        if prior is not None:
-            np.testing.assert_array_equal(r.prior.weights, prior.weights)
+        slack, _ = risk._best_dominating(K, sums, profile)
+        assert r.admissible == (slack <= lp.FEAS_TOL)
+        assert (r.prior is not None) == r.admissible
+        if r.prior is not None:
+            assert (r.prior.weights > 0.0).all()
+            best = brute_force_min_bayes_risk(L, e, r.prior)
+            assert r.prior.weights @ r.risk == pytest.approx(best, abs=lp.FEAS_TOL)
+    assert rep.ok
     return rep
 
 
@@ -521,6 +529,12 @@ class TestCompleteClass:
     def test_cap(self):
         with pytest.raises(ArgumentError):
             complete_class_check(L01, BSC01, cap=3)
+        assert complete_class_check(L01, BSC01, cap=np.int64(4)).ok
+
+    @pytest.mark.parametrize("cap", [None, "64", True, 4.0])
+    def test_cap_must_be_an_integer(self, cap):
+        with pytest.raises(ArgumentError, match="cap must be an integer"):
+            complete_class_check(L01, BSC01, cap=cap)
 
     def test_degenerate_243_rule_instance(self, monkeypatch):
         # losses in [0, 1]; the domination LP of the 152nd rule once
@@ -586,13 +600,14 @@ class TestCompleteClass:
         assert rep.rules[0].admissible == (gain <= lp.FEAS_TOL)
         _assert_matches_unscreened(L, one)
 
-    def test_one_observation_solves_two_lps_per_rule(self, monkeypatch):
-        # a pair's program would repeat its rule's own prior program
+    def test_one_observation_solves_one_lp_per_rule(self, monkeypatch):
+        # no profile beats another, so every rule reaches its domination
+        # LP, and its prior comes from that LP's duals
         labels = LabeledSet(("a", "b", "c"))
         results = record_solves(monkeypatch)
         rep = complete_class_check(zero_one_loss(labels), terminal(labels))
         assert all(r.admissible and r.prior is not None for r in rep.rules)
-        assert len(results) == 2 * len(rep.rules)
+        assert len(results) == len(rep.rules)
 
     def test_rule_assignments_in_product_order(self):
         rules = risk._rule_assignments(3, 4, 64)
