@@ -109,8 +109,13 @@ class CanonicalPoint:
 
 
 def _zero_sum(arr: np.ndarray) -> np.ndarray:
-    """``arr``, once its entries are checked to sum to 0 within :data:`ACTIVE_TOL`."""
-    if abs(arr.sum()) > ACTIVE_TOL:
+    """``arr``, once its entries are checked to sum to 0.
+
+    The tolerance is :data:`ACTIVE_TOL` relative to the largest entry, at
+    least 1: :func:`zero_sum_part` of a column of size ``1e8`` rounds to a
+    sum near ``1e-8``.
+    """
+    if abs(arr.sum()) > ACTIVE_TOL * max(1.0, float(np.abs(arr).max(initial=0.0))):
         raise ArgumentError(f"coordinate sums to {arr.sum():.3g}, expected 0")
     return arr
 
@@ -152,34 +157,53 @@ def _bayes_index(L: LossMatrix, weights: np.ndarray) -> int:
     return int(np.argmin(weights @ L.values))
 
 
+def _substitute_references(
+    A: np.ndarray, sums: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eliminate one reference column per sum row of ``A``.
+
+    Each column of ``A`` lies in one 0/1 sum row of ``sums @ x == 1``.
+    Each sum row keeps as reference ``ref`` its column with the lowest
+    total ``tot`` in ``A`` (the best reply to uniform weights, lowest
+    index on ties), and ``x_ref`` becomes one minus the rest of its row.
+    Then ``A @ x == base + rows @ x[rest]``, and the sum rows become
+    ``sum_rows @ x[rest] <= 1``, leaving out those where ``ref`` is alone.
+    Returns ``(ref, rest, tot, base, rows, sum_rows)``; ``rest`` masks
+    the columns that are not references.
+    """
+    tot = A.sum(axis=0)
+    ref = np.where(sums > 0, tot, np.inf).argmin(axis=1)
+    rest = np.ones(A.shape[1], dtype=bool)
+    rest[ref] = False
+    sum_rows = sums[:, rest]
+    sum_rows = sum_rows[sum_rows.any(axis=1)]
+    base = A[:, ref].sum(axis=1)
+    return ref, rest, tot, base, (A - A[:, ref] @ sums)[:, rest], sum_rows
+
+
 def _epigraph(
     A: np.ndarray, sums: np.ndarray, b: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Minimize the largest entry of ``A @ x - b`` over ``x >= 0`` with ``sums @ x == 1``.
 
     The epigraph program of a finite zero-sum game; each column of ``A``
-    lies in one 0/1 sum row.  It starts at a feasible vertex: each sum row
-    keeps as reference ``ref`` its column with the lowest total in ``A``
-    (the best reply to uniform weights, lowest index on ties), and
-    ``x_ref`` becomes one minus the rest of its row, a ``<= 1`` row
-    unless ``ref`` is alone in it.  The level is ``top - s`` with ``s >= 0`` and ``top`` one above the largest
-    entry at the references, so every right-hand side is nonnegative and
-    phase one takes no pivot.  As ``s >= 1`` at the optimum, ``s`` is
-    basic and the duals of the rows of ``A`` sum to ``-1`` up to rounding.
-    Returns ``(value, x, weights)``, where ``weights = -dual_ub`` is the
-    least favorable weighting of the rows of ``A``.
+    lies in one 0/1 sum row.  It starts at a feasible vertex: the
+    reference columns of :func:`_substitute_references` are eliminated,
+    and the level is ``top - s`` with ``s >= 0`` and ``top`` one above the
+    largest entry at the references, so every right-hand side is
+    nonnegative and phase one takes no pivot.  As ``s >= 1`` at the
+    optimum, ``s`` is basic and the duals of the rows of ``A`` sum to
+    ``-1`` up to rounding.  Returns ``(value, x, weights)``, where
+    ``weights = -dual_ub`` is the least favorable weighting of the rows
+    of ``A``.
     """
     (n_rows, n), k = A.shape, len(sums)
-    ref = np.where(sums > 0, A.sum(axis=0), np.inf).argmin(axis=1)
-    rest = np.ones(n, dtype=bool)
-    rest[ref] = False
-    excess = A[:, ref].sum(axis=1) - b
+    ref, rest, _, base, rows, sum_rows = _substitute_references(A, sums)
+    excess = base - b
     top = excess.max() + 1.0
-    sum_rows = sums[:, rest]
-    sum_rows = sum_rows[sum_rows.any(axis=1)]
     # columns: the non-reference x, then s; rows: those of A, then the sums
     a_ub = np.zeros((n_rows + len(sum_rows), n - k + 1))
-    a_ub[:n_rows, :-1] = (A - A[:, ref] @ sums)[:, rest]
+    a_ub[:n_rows, :-1] = rows
     a_ub[:n_rows, -1] = 1.0
     a_ub[n_rows:, :-1] = sum_rows
     c = np.zeros(n - k + 1)

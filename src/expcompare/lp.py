@@ -1,33 +1,49 @@
-"""Dense linear programs and a self-contained two-phase simplex solver.
+"""Dense linear programs and a self-contained simplex solver.
 
 Programs are minimizations ``c @ x`` subject to ``a_eq @ x == b_eq``,
 ``a_ub @ x <= b_ub`` and ``x >= 0``; every variable is nonnegative, so
 a caller writes a free quantity as a shifted or split nonnegative one.
-The solver is a dense two-phase simplex on a numpy tableau (pivot
-tolerance ``PIVOT_TOL``, feasibility tolerance ``FEAS_TOL``).  The
+The solver is a dense simplex on a numpy tableau (pivot tolerance
+``PIVOT_TOL``, feasibility tolerance ``FEAS_TOL``), built once from the
+program's arrays and pivoted in place.  Public ``LinearProgram``
+construction copies, checks and freezes its arrays; the library's own
+programs skip that (``LinearProgram._unchecked``).  Feasibility is
+``solve``'s status.
+
+A program takes one of two paths to a feasible basis.
+* *Dual start.*  A program with no equality rows, ``c >= 0`` and some
+  ``b_ub < 0`` starts at its slack basis, which is then dual feasible
+  but not primal feasible.  A dual simplex (Lemke 1954) pivots it to
+  primal feasibility: the leaving row has the most negative right-hand
+  side, and the entering column the minimum ratio ``d_j / -a_rj`` over
+  ``a_rj < -PIVOT_TOL``.  A right-hand side ``>= -PIVOT_TOL`` counts as
+  feasible.  A row below that with no eligible entry proves the program
+  infeasible when it is below ``-FEAS_TOL``, the residual phase one
+  allows; above that it counts as feasible.
+* *Two phases.*  Every other program has its rows signed to nonnegative
+  right-hand sides and starts from a crash basis: every column that is
+  a unit vector starts basic in its row; only the rows left over get
+  artificial columns, and a program with none skips phase one.
+
+Then phase two runs a primal simplex from the feasible basis.  Its
 entering column is chosen by exact steepest edge: among the negative
 reduced costs ``d_j``, the largest ``d_j**2 / (1 + ||tab[:m, j]||**2)``,
-read off the dense tableau.  After ``DEGENERATE_STREAK`` degenerate
-pivots in a row it falls back to Bland's rule until a pivot makes
-progress, so it cannot cycle.  The leaving row is always Bland's.
-The tableau is built once from the program's arrays and pivoted in
-place.  Phase one starts from a crash basis: every column that is a unit
-vector, once rows are signed to nonnegative right-hand sides, starts
-basic in its row; only the rows left over get artificial columns, and a
-program with none skips phase one.  One pricing routine fills the
-reduced-cost row for both phases.  Public ``LinearProgram`` construction
-copies, checks and freezes its arrays; the library's own programs skip
-that (``LinearProgram._unchecked``).  Feasibility is ``solve``'s status.
+read off the dense tableau; the leaving row is always Bland's.  After
+``DEGENERATE_STREAK`` degenerate pivots in a row either simplex falls
+back to Bland's rule until a pivot makes progress, so it cannot cycle.
+One pricing routine fills the reduced-cost row for both primal phases.
 Every rule breaks ties by index, so a given program always takes the
 same pivot path: re-solving an identical program yields a bit-for-bit
-identical result.  ``LPResult.pivots`` reports the pivots of each phase.
+identical result.  ``LPResult.pivots`` reports the pivots of each phase;
+the dual simplex's count as phase one.
 
 Duals are read off the final tableau.  Every row starts with a unit
-column (a crash column or an artificial), whose reduced cost at the end
-is its cost minus the row's dual.  Sign convention for the minimization:
-duals of ``<=`` constraints are ``<= 0``, duals of equality constraints
-are free, and the dual objective ``b_eq @ dual_eq + b_ub @ dual_ub``
-equals the primal value at optimality.
+column (a slack, a crash column or an artificial), whose reduced cost at
+the end is its cost minus the row's dual.  Sign convention for the
+minimization: duals of ``<=`` constraints are ``<= 0``, duals of
+equality constraints are free, and the dual objective
+``b_eq @ dual_eq + b_ub @ dual_ub`` equals the primal value at
+optimality.
 """
 
 from __future__ import annotations
@@ -42,8 +58,9 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 
 #: Consecutive degenerate pivots (minimum ratio ``<= PIVOT_TOL``) after
-#: which the entering rule falls back from steepest edge to Bland's until
-#: the next non-degenerate pivot.
+#: which a simplex falls back to Bland's rule until the next
+#: non-degenerate pivot: the primal one for its entering column, the dual
+#: one for its leaving row.
 DEGENERATE_STREAK = 50
 
 OPTIMAL = "optimal"
@@ -133,8 +150,9 @@ class LPResult:
     ``value``, ``primal`` and the dual vectors are ``None`` unless the
     status is optimal.  ``dual_eq`` / ``dual_ub`` follow the constraint
     order of the program.  ``pivots`` counts the pivots of phase one
-    (including those that drive leftover artificials out of the basis)
-    and of phase two; they depend only on the program, not the machine.
+    (the dual simplex of a dual start, or the artificial phase including
+    the pivots that drive leftover artificials out of the basis) and of
+    phase two; they depend only on the program, not the machine.
     """
 
     status: str
@@ -205,10 +223,63 @@ def _run_simplex(
         streak = streak + 1 if best <= PIVOT_TOL else 0
         _pivot(tab, r, c)
         basis[r] = c
-    raise SolverError(
-        f"phase {phase} exceeded the pivot iteration limit "
+    raise _iteration_limit(f"phase {phase}", max_iter, tab)
+
+
+def _iteration_limit(what: str, max_iter: int, tab: np.ndarray) -> SolverError:
+    return SolverError(
+        f"{what} exceeded the pivot iteration limit "
         f"({max_iter} pivots on a {tab.shape[0]}x{tab.shape[1]} tableau)"
     )
+
+
+def _dual_simplex(tab: np.ndarray, basis: np.ndarray) -> tuple[bool, int]:
+    """Pivot a dual feasible ``tab`` to primal feasibility; return ``(feasible, pivots)``.
+
+    ``tab`` and ``basis`` are as in :func:`_run_simplex`, with reduced
+    costs ``d >= 0`` in the bottom row.  A row is infeasible while its
+    right-hand side is below ``-PIVOT_TOL``.  An infeasible row with no
+    entry ``a_rj < -PIVOT_TOL`` cannot be pivoted: below ``-FEAS_TOL`` it
+    proves the program infeasible, and above that it is feasible within
+    ``FEAS_TOL``, the residual phase one allows its artificials.  Among
+    the other infeasible rows the leaving row has the most negative
+    right-hand side, and the entering column the minimum ratio
+    ``d_j / -a_rj`` over ``a_rj < -PIVOT_TOL``, lowest index on ties, so
+    every ``d`` stays nonnegative.  After ``DEGENERATE_STREAK`` pivots of
+    ratio ``<= PIVOT_TOL`` in a row, the leaving row is the one whose
+    basic variable has the lowest index (Bland's dual rule) until a pivot
+    makes progress.
+    """
+    m = tab.shape[0] - 1
+    n = tab.shape[1] - 1
+    rhs = tab[:m, n]
+    costs = tab[m, :n]
+    streak = 0
+    max_iter = _max_iter(m, n)
+    for it in range(max_iter + 1):
+        rows = (rhs < -PIVOT_TOL).nonzero()[0]
+        if rows.size:
+            stuck = (tab[rows, :n] >= -PIVOT_TOL).all(axis=1)
+            if (rhs[rows[stuck]] < -FEAS_TOL).any():
+                return False, it
+            rows = rows[~stuck]
+        if rows.size == 0:
+            return True, it
+        if it == max_iter:
+            break
+        if streak < DEGENERATE_STREAK:
+            r = int(rows[rhs[rows].argmin()])
+        else:
+            r = int(rows[basis[rows].argmin()])
+        row = tab[r, :n]
+        cols = (row < -PIVOT_TOL).nonzero()[0]
+        ratios = costs[cols] / -row[cols]
+        k = ratios.argmin()
+        streak = streak + 1 if ratios[k] <= PIVOT_TOL else 0
+        c = int(cols[k])
+        _pivot(tab, r, c)
+        basis[r] = c
+    raise _iteration_limit("phase one (dual simplex)", max_iter, tab)
 
 
 def _price(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
@@ -223,13 +294,24 @@ def _price(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
     tab[-1] = np.subtract.reduce(np.vstack([cost, cb[rows, None] * tab[rows]]), axis=0)
 
 
+def _dual_start(p: LinearProgram) -> bool:
+    """Whether ``p`` starts at its slack basis and takes the dual simplex.
+
+    With no equality rows and ``c >= 0`` the slack basis is dual feasible;
+    it is primal infeasible exactly when some ``b_ub < 0``.
+    """
+    return p.b_eq.size == 0 and bool((p.c >= 0.0).all()) and bool((p.b_ub < 0.0).any())
+
+
 def _build(p: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The signed simplex tableau of ``p`` and its crash basis.
+    """The simplex tableau of ``p`` and its starting basis.
 
     The tableau has ``m`` constraint rows, then the reduced-cost row, and
     the columns: the variables, one slack per ``<=`` row, the
-    artificials, and the right-hand side.  Rows are signed so that every
-    right-hand side is nonnegative.  Then any column that is a unit
+    artificials, and the right-hand side.  A dual start (:func:`_dual_start`)
+    keeps its rows as given and starts at the slack basis, with ``c`` as
+    its reduced costs.  Every other program has its rows signed so that
+    every right-hand side is nonnegative.  Then any column that is a unit
     vector (a single ``+1``) starts basic in its row, the lowest index
     winning; only rows left without one get an artificial column.
     Returns ``(tab, basis0, sign, n_struct)``: ``basis0`` is the starting
@@ -245,6 +327,9 @@ def _build(p: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     tab[np.arange(n_eq, m), np.arange(n, n_struct)] = 1.0
     tab[:n_eq, -1] = p.b_eq
     tab[n_eq:m, -1] = p.b_ub
+    if _dual_start(p):
+        tab[m, :n] = p.c
+        return tab, np.arange(n, n_struct), np.ones(m), n_struct
     flip = tab[:m, -1] < 0.0
     sign = np.where(flip, -1.0, 1.0)
     tab[:m][flip] *= -1.0
@@ -292,18 +377,23 @@ def solve(p: LinearProgram) -> LPResult:
     tab, basis0, sign, n_struct = _build(p)
     m, n_total = tab.shape[0] - 1, tab.shape[1] - 1
     basis = basis0.copy()
-    pivots1 = _phase_one(tab, basis, n_struct) if n_total > n_struct else 0
-    if -tab[m, n_total] > FEAS_TOL:
-        return LPResult(status=INFEASIBLE, pivots=(pivots1, 0))
+    if _dual_start(p):
+        feasible, pivots1 = _dual_simplex(tab, basis)
+        if not feasible:
+            return LPResult(status=INFEASIBLE, pivots=(pivots1, 0))
+    else:
+        pivots1 = _phase_one(tab, basis, n_struct) if n_total > n_struct else 0
+        if -tab[m, n_total] > FEAS_TOL:
+            return LPResult(status=INFEASIBLE, pivots=(pivots1, 0))
 
-    # Drive leftover artificials out of the basis where possible; rows with
-    # no eligible pivot are redundant and keep a zero-level artificial.
-    for i in (basis >= n_struct).nonzero()[0]:
-        cands = (np.abs(tab[i, :n_struct]) > PIVOT_TOL).nonzero()[0]
-        if cands.size:
-            _pivot(tab, i, int(cands[0]))
-            basis[i] = cands[0]
-            pivots1 += 1
+        # Drive leftover artificials out of the basis where possible; rows
+        # with no eligible pivot are redundant and keep a zero-level artificial.
+        for i in (basis >= n_struct).nonzero()[0]:
+            cands = (np.abs(tab[i, :n_struct]) > PIVOT_TOL).nonzero()[0]
+            if cands.size:
+                _pivot(tab, i, int(cands[0]))
+                basis[i] = cands[0]
+                pivots1 += 1
 
     # Phase two: restore the real objective, keep artificials ineligible.
     cost = np.zeros(n_total + 1)

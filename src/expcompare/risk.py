@@ -11,7 +11,9 @@ split of the pointwise risk of any rule, deterministic or randomized, in
 canonical coordinates, and admissibility checks for the deterministic
 rules of a finite instance, where each admissible rule's domination LP
 also yields a full-support prior under which it is Bayes (the complete
-class theorem, read off the duals).
+class theorem, read off the duals).  The domination LP is written
+relative to the Bayes rule for uniform weights, so it starts dual
+feasible and ``lp`` solves it by a dual simplex.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import lp
 from .core import EPS_TOL, Distribution, LabeledSet, Transition, _integer, deterministic
 from .errors import ArgumentError, ShapeError, SolverError
-from .loss import LossMatrix, _epigraph, psi, zero_sum_part
+from .loss import LossMatrix, _epigraph, _substitute_references, psi, zero_sum_part
 
 #: Observations with marginal mass at most this are outside the support of
 #: the reversal and take action index 0 in Bayes rules.
@@ -306,20 +308,34 @@ def _best_dominating(
 
     ``K, sums`` come from :func:`_rule_space`.  Minimizes the total risk
     over the rules whose risk is at most ``target`` at every unknown, and
-    returns the total slack ``target.sum() - value`` (the largest
-    aggregate gain of a rule that weakly beats the target profile
-    everywhere) and the weights ``1 - dual_ub >= 1`` of the unknowns.
-    The slack of each risk row is the solver's own.  By LP duality, under
-    these weights a rule with profile ``target`` scores at most the slack
-    above the Bayes actions, summed over observations.
+    returns the total slack (the largest aggregate gain of a rule that
+    weakly beats the target profile everywhere) and the weights
+    ``1 - dual_ub >= 1`` of the unknowns.  By LP duality, under these
+    weights a rule with profile ``target`` scores at most the slack above
+    the Bayes actions, summed over observations.
+
+    Each observation's reference is the action with the lowest total risk
+    (the Bayes rule for uniform weights), substituted as in
+    :func:`~expcompare.loss._substitute_references`.  The cost of every
+    other entry is its column total minus its reference's, a float
+    difference of ``a >= b`` and so exactly ``>= 0``: the slack basis is
+    dual feasible and only the risk rows where ``target`` is below the
+    reference rule's profile are infeasible.  So the program has no
+    artificial column: ``lp`` takes its dual simplex when there is such a
+    row, and otherwise the start is already optimal.  The slack of each
+    risk row is the solver's own.
     """
-    risks = K.reshape(len(K), -1)
-    res = lp.solve(
-        lp.LinearProgram._unchecked(risks.sum(axis=0), risks, target, sums, np.ones(len(sums)))
-    )
+    n_t = len(K)
+    ref, rest, tot, base, rows, sum_rows = _substitute_references(K.reshape(n_t, -1), sums)
+    room = target - base
+    res = lp.solve(lp.LinearProgram._unchecked(
+        (tot - tot[ref] @ sums)[rest],
+        np.vstack([rows, sum_rows]),
+        np.concatenate([room, np.ones(len(sum_rows))]),
+    ))
     if not res.is_optimal:
         raise SolverError(f"domination program did not solve: {res.status}")
-    return float(target.sum() - res.value), 1.0 - res.dual_ub
+    return float(room.sum() - res.value), 1.0 - res.dual_ub[:n_t]
 
 
 def is_admissible(L: LossMatrix, e: Transition, d: Transition) -> bool:
@@ -368,7 +384,9 @@ def complete_class_check(
     kept once the joint scores confirm at each observation that the
     rule's action is Bayes within ``FEAS_TOL``.  The normalized excess is at
     most slack / sum(weights), so this holds whenever the verdict is
-    "admissible".  An inadmissible rule gets no prior.
+    "admissible".  An inadmissible rule gets no prior.  Supporting
+    priors are not unique; this one is the LP's own, so it depends on the
+    LP's formulation and pivot path.
 
     An exact screen settles most rules before any LP; every rule it
     leaves solves the same LP as without it, and a screened rule gets

@@ -87,6 +87,22 @@ def assert_vertex_starts(seen) -> None:
         assert res.is_optimal and res.pivots[0] == 0
 
 
+def assert_dual_starts(seen) -> int:
+    """Each recorded program starts dual feasible at its slack basis, with
+    no artificial column, and phase two takes no pivot; return how many
+    took the dual simplex.  The others have no negative right-hand side,
+    so their slack basis is already optimal."""
+    assert seen
+    for p, res in seen:
+        tab, *_, n_struct = lp._build(p)
+        assert tab.shape[1] - 1 == n_struct  # no artificial column
+        assert p.b_eq.size == 0 and (p.c >= 0.0).all()
+        assert lp._dual_start(p) == (p.b_ub < 0.0).any()
+        assert res.is_optimal and res.pivots[1] == 0
+        assert lp._dual_start(p) or res.pivots == (0, 0)
+    return sum(lp._dual_start(p) for p, _ in seen)
+
+
 def primal_support_program(L: LossMatrix, v) -> LinearProgram:
     """``min over the simplex of <P, v> - entropy(L, P)`` as the primal LP,
     one row ``t <= <P, column_a>`` per action.
@@ -242,3 +258,25 @@ def random_program(seed: int) -> LinearProgram:
         return np.concatenate([a, -a[..., free]], axis=-1)
 
     return LinearProgram(split(c), a_ub=split(a_ub), b_ub=b_ub, a_eq=split(a_eq), b_eq=b_eq)
+
+
+def random_dual_program(seed: int) -> LinearProgram:
+    """``<=`` rows only, ``c >= 0`` and some ``b_ub < 0``: a dual start.
+
+    As in :func:`random_program`, half of the right-hand sides are taken
+    at a point ``x0`` (plus a slack of 0 or 1), so feasible, degenerate
+    and infeasible programs all occur; draws without a negative
+    right-hand side are drawn again.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        integer = bool(rng.integers(2))
+        c = np.abs(coefficients(rng, n, integer))
+        a_ub = coefficients(rng, (m, n), integer)
+        if rng.integers(2):
+            b_ub = a_ub @ rng.integers(0, 3, n) + rng.integers(0, 2, m)
+        else:
+            b_ub = coefficients(rng, m, integer)
+        if (b_ub < 0.0).any():
+            return LinearProgram(c, a_ub=a_ub, b_ub=b_ub)

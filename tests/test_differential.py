@@ -19,6 +19,7 @@ from helpers import (
     labeled,
     random_distribution,
     random_loss,
+    random_dual_program,
     random_markov,
     random_program,
 )
@@ -64,6 +65,32 @@ def test_random_programs(seed):
         assert ours.value == pytest.approx(ref.fun, abs=VALUE_TOL)
         dual = float(p.b_eq @ ours.dual_eq + p.b_ub @ ours.dual_ub)
         assert dual == pytest.approx(ref.fun, abs=VALUE_TOL)
+
+
+@differential
+@given(seeds)
+def test_dual_start_programs(seed):
+    """Only ``<=`` rows, ``c >= 0`` and some ``b_ub < 0``: the dual simplex.
+
+    Feasible, infeasible and (from integer data) degenerate programs.
+    """
+    p = random_dual_program(seed)
+    assert lp._dual_start(p)
+    ours, ref = lp.solve(p), highs(p)
+    assert ref.status in HIGHS_STATUS, ref.message
+    assert ours.status == HIGHS_STATUS[ref.status]
+    if ours.is_optimal:
+        assert ours.value == pytest.approx(ref.fun, abs=VALUE_TOL)
+        assert float(p.b_ub @ ours.dual_ub) == pytest.approx(ours.value, abs=VALUE_TOL)
+
+
+@pytest.mark.parametrize("gap", [0.5 * lp.PIVOT_TOL, 0.5 * lp.FEAS_TOL, 10.0 * lp.FEAS_TOL])
+def test_dual_start_feasibility_tolerance(gap):
+    # x0 + x1 <= 1 and x0 + 2 x1 <= -gap: infeasible by gap, which HiGHS's
+    # primal feasibility tolerance (1e-7, as FEAS_TOL) forgives below it
+    p = LinearProgram([1.0, 1.0], a_ub=[[1.0, 1.0], [1.0, 2.0]], b_ub=[1.0, -gap])
+    assert lp._dual_start(p)
+    assert lp.solve(p).status == HIGHS_STATUS[highs(p).status]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -141,7 +168,9 @@ def test_domination_programs(seed, n_t, n_z, n_a, integer):
     ``sum_a d(a|z) == 1``.  The rule itself meets every risk row with
     equality at ``s = 0``, so the programs are degenerate.  The library
     minimizes the total risk with the slacks left to the solver
-    (``risk._best_dominating``); its total slack must be the same optimum.
+    (``risk._best_dominating``), from the uniform Bayes rule as reference;
+    its total slack must be the same optimum, and that of the
+    unsubstituted program, which ``lp.solve`` takes with artificials.
     When that slack is at most ``FEAS_TOL`` (the rule is admissible), the
     weights ``1 - dual_ub`` are at least 1 and make the rule Bayes: its
     excess over the best action, summed over observations, is at most
@@ -167,6 +196,10 @@ def test_domination_programs(seed, n_t, n_z, n_a, integer):
     assert ours.value == pytest.approx(ref.fun, abs=VALUE_TOL)
     slack, weights = _best_dominating(K, sums, profile)
     assert slack == pytest.approx(-ref.fun, abs=VALUE_TOL)
+    risks = K.reshape(n_t, n_z * n_a)
+    unsub = lp.solve(LinearProgram(risks.sum(axis=0), a_ub=risks, b_ub=profile,
+                                   a_eq=sums, b_eq=np.ones(n_z)))
+    assert slack == pytest.approx(profile.sum() - unsub.value, abs=VALUE_TOL)
     if slack <= lp.FEAS_TOL:
         assert weights.min() >= 1.0 - lp.PIVOT_TOL
         scores = (e * weights) @ L  # scores[z, a]

@@ -196,6 +196,17 @@ class TestPsi:
     def test_rejects_non_zero_sum(self):
         with pytest.raises(ArgumentError):
             psi(L01, [0.5, 0.0])
+        # the tolerance grows with the largest entry, not the sum
+        with pytest.raises(ArgumentError):
+            psi(L01, [1e8, 1.0 - 1e8])
+
+    def test_zero_sum_test_is_relative_to_large_losses(self):
+        # zero_sum_part of the 1e8-scale column a0 sums to -4.47e-8 by
+        # rounding, which an absolute ACTIVE_TOL rejected
+        L = LossMatrix(labeled("t", 3), labeled("a", 2),
+                       [[1e8 + 0.1, 3e8], [2e8, 1e8], [0.0, 7e7]])
+        assert abs(zero_sum_part(L.column("a0")).sum()) > 1e-8
+        assert is_achievable(L, "a0") and is_achievable(L, "a1")
 
     def test_canonical_point_lies_on_the_boundary(self):
         rng = np.random.default_rng(37)

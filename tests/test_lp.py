@@ -3,12 +3,15 @@ import pickle
 import numpy as np
 import pytest
 from helpers import (
+    assert_dual_starts,
     labeled,
     random_distribution,
+    random_dual_program,
     random_loss,
     random_markov,
     random_program,
     record_solves,
+    rule_from_assignment,
 )
 
 from expcompare import (
@@ -19,8 +22,10 @@ from expcompare import (
     Transition,
     complete_class_check,
     directed_deficiency,
+    is_admissible,
     log_loss_grid,
     lp,
+    min_bayes_risk,
     psi,
     uniform,
 )
@@ -94,15 +99,23 @@ class TestFeasible:
         assert solve([0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]).status != lp.INFEASIBLE
 
     def test_agrees_with_solve(self):
-        # phase one alone decides feasibility: its residual on the built
-        # tableau, and a program without artificials is feasible unpivoted
-        for seed in range(1000):
-            p = random_program(seed)
+        # phase one alone decides feasibility on the built tableau: the
+        # dual simplex of a dual start, else the artificials' residual,
+        # and a program without artificials is feasible unpivoted
+        programs = [random_program(seed) for seed in range(1000)]
+        programs += [random_dual_program(seed) for seed in range(300)]
+        dual = 0
+        for p in programs:
             tab, basis0, _, n_struct = lp._build(p)
-            if tab.shape[1] - 1 > n_struct:
-                lp._phase_one(tab, basis0, n_struct)
-            ok = -tab[-1, -1] <= lp.FEAS_TOL
+            if lp._dual_start(p):
+                ok, _ = lp._dual_simplex(tab, basis0)
+                dual += 1
+            else:
+                if tab.shape[1] - 1 > n_struct:
+                    lp._phase_one(tab, basis0, n_struct)
+                ok = -tab[-1, -1] <= lp.FEAS_TOL
             assert ok == (lp.solve(p).status != lp.INFEASIBLE)
+        assert dual == 19 + 300
 
 
 class TestValidation:
@@ -322,6 +335,79 @@ class TestPivotRule:
         assert lp.solve(p).pivots == (0, 3)
 
 
+class TestDualSimplex:
+    """Programs with only ``<=`` rows, ``c >= 0`` and some ``b_ub < 0``."""
+
+    #: x0 + x1 >= 1 and x1 >= 2: the most negative row (x1 >= 2) leaves
+    #: first and one pivot solves it
+    COVER = LinearProgram([1.0, 1.0], a_ub=[[-1.0, -1.0], [0.0, -1.0]], b_ub=[-1.0, -2.0])
+
+    def test_starts_at_the_slack_basis_unsigned(self):
+        tab, basis0, sign, n_struct = lp._build(self.COVER)
+        assert list(basis0) == [2, 3] and tab.shape[1] - 1 == n_struct
+        assert list(sign) == [1.0, 1.0] and list(tab[:2, -1]) == [-1.0, -2.0]
+        assert list(tab[-1, :-1]) == [1.0, 1.0, 0.0, 0.0]  # c: the slacks cost nothing
+
+    def test_only_programs_with_a_dual_feasible_slack_basis(self):
+        assert lp._dual_start(self.COVER)
+        for c, kw in [
+            ([-1.0, 1.0], {}),  # a negative cost
+            ([1.0, 1.0], {"a_eq": [[1.0, 1.0]], "b_eq": [3.0]}),  # an equality row
+        ]:
+            p = LinearProgram(c, a_ub=self.COVER.a_ub, b_ub=self.COVER.b_ub, **kw)
+            assert not lp._dual_start(p)
+        # no negative right-hand side: the slack basis is already optimal
+        assert not lp._dual_start(LinearProgram([1.0], a_ub=[[-1.0]], b_ub=[1.0]))
+
+    def test_cover(self):
+        res = lp.solve(self.COVER)
+        assert res.pivots == (1, 0)
+        np.testing.assert_allclose(res.primal, [0.0, 2.0])
+        _assert_kkt(self.COVER, res)
+        np.testing.assert_allclose(res.dual_ub, [0.0, -1.0])
+
+    def test_entering_column_has_the_minimum_ratio(self):
+        # x0 + x1 >= 1 with costs 1 and 2: ratios 1 and 2, x0 enters
+        res = solve([1.0, 2.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+        assert res.pivots == (1, 0)
+        np.testing.assert_allclose(res.primal, [1.0, 0.0])
+        assert res.dual_ub[0] == -1.0
+
+    def test_pure_bland_takes_the_lowest_basic_row(self, monkeypatch):
+        # Bland's dual rule starts from row 0 (slack 2), a longer path
+        monkeypatch.setattr(lp, "DEGENERATE_STREAK", 0)
+        res = lp.solve(self.COVER)
+        assert res.pivots == (3, 0)
+        np.testing.assert_allclose(res.primal, [0.0, 2.0])
+
+    @pytest.mark.parametrize("gap, status", [
+        (0.5 * lp.PIVOT_TOL, lp.OPTIMAL),  # feasible at the start
+        (0.5 * lp.FEAS_TOL, lp.OPTIMAL),  # a row with no eligible entry, within FEAS_TOL
+        (2.0 * lp.FEAS_TOL, lp.INFEASIBLE),
+    ])
+    def test_feasibility_tolerance(self, gap, status):
+        # x0 <= -gap: phase one of the two-phase path allows the same
+        # residual FEAS_TOL
+        res = solve([1.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, -1.0]], b_ub=[-gap, 1.0])
+        assert res.status == status and res.pivots == (0, 0)
+
+    def test_iteration_limit_message(self, monkeypatch):
+        monkeypatch.setattr(lp, "_max_iter", lambda m, n: 0)
+        with pytest.raises(SolverError) as info:
+            lp.solve(self.COVER)
+        assert str(info.value) == (
+            "phase one (dual simplex) exceeded the pivot iteration limit "
+            "(0 pivots on a 3x5 tableau)"
+        )
+
+    def test_strong_duality(self):
+        for seed in range(300):
+            p = random_dual_program(seed)
+            res = lp.solve(p)
+            if res.is_optimal:
+                _assert_kkt(p, res)
+
+
 class TestCrashBasis:
     @staticmethod
     def crash(p):
@@ -456,10 +542,28 @@ class TestPinnedPivotPaths:
 
     def test_complete_class_programs(self, monkeypatch):
         # the 243-rule instance of test_risk: one domination program per
-        # rule the screen leaves, whose duals also give the priors
+        # rule the screen leaves, whose duals also give the priors; 30 of
+        # them take the dual simplex
         rng = np.random.default_rng(42)
         L = random_loss(rng, labeled("t", 3), 3, low=0.0)
         e = random_markov(rng, L.unknowns, labeled("z", 5))
         seen = record_solves(monkeypatch)
         complete_class_check(L, e)
-        assert len(seen) == 31 and _phase_totals(seen) == (219, 19)
+        assert len(seen) == 31 and _phase_totals(seen) == (57, 0)
+
+    def test_admissibility_programs(self, monkeypatch):
+        # the sizes of the benchmark's decision workload, |T|=6, |Z|=24,
+        # |A|=12: random deterministic rules, which the uniform Bayes rule
+        # mostly beats everywhere, and Bayes rules for random priors
+        rng = np.random.default_rng(612)
+        unknowns, obs = labeled("t", 6), labeled("z", 24)
+        seen = record_solves(monkeypatch)
+        for k in range(8):
+            L = random_loss(rng, unknowns, 12, low=0.0)
+            e = random_markov(rng, unknowns, obs)
+            if k % 2:
+                rule = rule_from_assignment(obs, L.actions, rng.integers(12, size=24))
+            else:
+                rule = min_bayes_risk(L, e, random_distribution(rng, unknowns)).rule
+            assert is_admissible(L, e, rule) == (k % 2 == 0)
+        assert len(seen) == 8 and _phase_totals(seen) == (69, 0)

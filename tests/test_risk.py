@@ -1,8 +1,9 @@
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 
 import numpy as np
 import pytest
 from helpers import (
+    assert_dual_starts,
     assert_vertex_starts,
     brute_force_min_bayes_risk,
     deterministic_rules,
@@ -57,8 +58,8 @@ UNIF = uniform(THETA)
 
 #: Seed and pivot bound of the complete-class case at the enumeration cap:
 #: 3 unknowns, 4 actions and 6 observations give 4096 rules.  Without the
-#: screen of complete_class_check their domination LPs take 33 712
-#: pivots; with it, 68 LPs take 593.
+#: screen of complete_class_check and the dual start of the domination
+#: LPs they take 33 712 pivots; with both, 68 LPs take 146.
 CAP_SEED, CAP_PIVOT_BOUND = 7, 60_000
 #: LPs that complete_class_check solves on the cap instance and on the
 #: 243-rule instance of TestCompleteClass: one domination LP per rule the
@@ -497,6 +498,29 @@ class TestAdmissibility:
             rule = min_bayes_risk(L, e, random_distribution(rng, unknowns)).rule
             assert is_admissible(L, e, rule)
 
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_programs_start_dual_feasible(self, monkeypatch, integer):
+        # deterministic and randomized rules; integer losses with a
+        # duplicated action tie every cost of their columns
+        rng = np.random.default_rng(33)
+        unknowns = labeled("t", 4)
+        seen = record_solves(monkeypatch)
+        for k in range(40):
+            n_a = int(rng.integers(2, 5))
+            if integer:
+                vals = rng.integers(0, 3, (4, n_a)).astype(float)
+                vals[:, -1] = vals[:, 0]
+            else:
+                vals = rng.uniform(-1.0, 1.0, (4, n_a))
+            L = LossMatrix(unknowns, labeled("a", n_a), vals)
+            e = random_markov(rng, unknowns, labeled("z", int(rng.integers(1, 6))))
+            if k % 2:
+                d = Transition(e.target, L.actions, rng.dirichlet(np.ones(n_a), len(e.target)).T)
+            else:
+                d = rule_from_assignment(e.target, L.actions, rng.integers(n_a, size=len(e.target)))
+            is_admissible(L, e, d)
+        assert len(seen) == 40 and assert_dual_starts(seen) == (16 if integer else 27)
+
     def test_equal_profiles_are_admissible_under_no_information(self):
         # every rule on the terminal experiment with the same profile survives
         one = terminal(THETA)
@@ -545,6 +569,7 @@ class TestCompleteClass:
         assert len(rep.rules) == 243
         assert rep.ok
         assert len(results) == LPS_243
+        assert assert_dual_starts(results) == LPS_243 - 1
         # a supporting prior makes the rule Bayes among all 243 rules
         supported = [r for r in rep.rules if r.prior is not None]
         assert supported
@@ -571,6 +596,7 @@ class TestCompleteClass:
         assert len(rep.rules) == ENUMERATION_CAP
         assert rep.ok
         assert len(results) == CAP_LPS
+        assert assert_dual_starts(results) == CAP_LPS - 1
         assert sum(sum(r.pivots) for _, r in results) <= CAP_PIVOT_BOUND
 
     def test_screens_match_unscreened_on_243_rule_instance(self):
@@ -580,6 +606,27 @@ class TestCompleteClass:
     def test_screens_match_unscreened_on_random_instances(self, kind):
         for seed in range(50):
             _assert_matches_unscreened(*_screen_instance(kind, 3000 + seed))
+
+    @pytest.mark.parametrize("kind", ["integer", "duplicate"])
+    def test_tied_losses_start_dual_feasible(self, monkeypatch, kind):
+        # integer losses and duplicated actions: tied totals pick the
+        # lowest-index reference, and dual degenerate programs
+        seen = record_solves(monkeypatch)
+        for seed in range(50):
+            assert complete_class_check(*_screen_instance(kind, 3000 + seed)).ok
+        assert assert_dual_starts(seen) == {"integer": 262, "duplicate": 316}[kind]
+
+    def test_costs_are_differences_of_column_totals(self, monkeypatch):
+        # six actions permute the losses 0.1, 0.2 and 0.7, so every total
+        # risk is 1.0: each cost is 0.0 exactly, where a sum of differenced
+        # risk rows rounds to -2.8e-17 and leaves the start dual infeasible
+        L = LossMatrix(labeled("t", 3), labeled("a", 6),
+                       np.array(list(permutations([0.1, 0.2, 0.7]))).T)
+        seen = record_solves(monkeypatch)
+        rep = complete_class_check(L, terminal(L.unknowns))
+        assert all(r.admissible for r in rep.rules) and rep.ok
+        assert assert_dual_starts(seen) == 5
+        assert any((p.a_ub[:3].sum(axis=0) < 0.0).any() for p, _ in seen)
 
     @pytest.mark.parametrize("gain", [0.5e-7, 1.5e-7])
     def test_gain_within_twice_the_tolerance_is_not_screened(self, monkeypatch, gain):
