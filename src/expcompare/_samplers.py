@@ -1,7 +1,10 @@
-"""Trial counts and blocks of the sampled audits.
+"""Trial counts, blocks and draws of the sampled audits.
 
-Both sampled audits check, block and zero-pad their trials with
-:func:`trial_count`, :func:`blocks` and :func:`_below`.
+Both sampled audits check and block their trials with :func:`trial_count`
+and :func:`blocks`.  Each block of ``n`` trials is one
+``rng.random((n, W))`` call, ``W`` doubles per trial, so trial ``i`` is
+the same instance whatever the number of trials or the block split; each
+quantity is read from its own slice of the trial's row, zero-padded to 4.
 """
 
 from __future__ import annotations
@@ -28,6 +31,21 @@ def blocks(trials: int):
     return (min(TRIAL_BLOCK, trials - s) for s in range(0, trials, TRIAL_BLOCK))
 
 
-def _below(sizes: list[int]) -> np.ndarray:
-    """``mask[b, i] = i < sizes[b]``: the unpadded cells of size-4 axes."""
-    return np.arange(4) < np.array(sizes)[:, None]
+def size_masks(u: np.ndarray) -> np.ndarray:
+    """``mask[..., i] = i < 2 + floor(3u)``: size-4 axes of sizes uniform on {2, 3, 4}."""
+    return np.arange(4) < 2 + (3.0 * u[..., None]).astype(np.intp)
+
+
+def dirichlet(u: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Flat-Dirichlet columns of a stack ``u[k, rows, cols]`` of doubles in [0, 1).
+
+    Unit exponentials ``-log1p(-u)`` on the unpadded ``cells``, zeros elsewhere,
+    over their column sums; a padded column is divided by 1, not by its zero sum.
+    """
+    x = np.where(cells, -np.log1p(-u), 0.0)
+    return x / np.where(cells.any(axis=1), x.sum(axis=1), 1.0)[:, None, :]
+
+
+def uniform_loss(u: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Losses ``2u - 1``, uniform in ``[-1, 1)``, on the unpadded ``cells``; zeros elsewhere."""
+    return np.where(cells, 2.0 * u - 1.0, 0.0)

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import lp
-from ._samplers import _below, blocks, trial_count
+from ._samplers import blocks, size_masks, trial_count, uniform_loss
 from .core import Distribution, LabeledSet, Transition, _integer, compose, deterministic, uniform
 from .errors import ArgumentError, ShapeError, SolverError
 from .risk import ENUMERATION_CAP, _bayes_values, _rule_assignments
@@ -179,12 +179,13 @@ def randomization_check(
     Every sampled loss is checked against that bound at slack 1e-7, and
     gaps are reported normalized by ``diam(L)``; the largest normalized
     absolute gap is then a lower bound for the symmetrized deficiency.
-    Losses are drawn reproducibly from ``seed``: per trial an action
-    count ``integers(2, 5)``, then the entries ``uniform(-1, 1)``,
-    unknowns by actions.  They are zero-padded to 4 actions and scored
-    per block of :func:`~expcompare._samplers.blocks`
-    by the stacked Bayes-risk kernel that :func:`~expcompare.dpi_check`
-    shares, which gives the values of :func:`~expcompare.min_bayes_risk`.
+    Losses are drawn from ``seed``, one ``rng.random((n, 1 + 4 |T|))``
+    call per block of ``n`` trials of :func:`~expcompare._samplers.blocks`:
+    per trial an action count in 2..4, then the entries uniform in
+    ``[-1, 1)``, unknowns by 4 actions, the padded ones zero; so trial
+    ``i`` is the same for any ``trials`` or block size.  The stacked
+    Bayes-risk kernel that :func:`~expcompare.dpi_check` shares scores
+    them with the values of :func:`~expcompare.min_bayes_risk`.
     """
     trials = trial_count(trials)
     _check_same_source(e, e2)
@@ -198,13 +199,9 @@ def randomization_check(
     max_directed = -np.inf
     max_abs = 0.0
     for n in blocks(trials):
-        loss = np.zeros((n, n_t, 4))
-        n_act = []
-        for b in range(n):
-            na = int(rng.integers(2, 5))
-            n_act.append(na)
-            loss[b, :, :na] = rng.uniform(-1.0, 1.0, size=(n_t, na))
-        actions = _below(n_act)[:, None, :]
+        u = rng.random((n, 1 + 4 * n_t))
+        actions = size_masks(u[:, :1])
+        loss = uniform_loss(u[:, 1:].reshape(n, n_t, 4), actions)
         r1, r2 = (_bayes_values(joint, loss, actions) for joint in joints)
         diam = 2.0 * np.abs(loss).max(axis=(1, 2))
         violations += int(np.count_nonzero(r1 > r2 + eps * diam + 1e-7))

@@ -12,12 +12,11 @@ For the identification loss on two unknowns this is half the variation
 between the two outcome distributions; for the log-loss lattice it
 approximates the mutual information.  All these quantities can only
 shrink under post-processing; :func:`dpi_check` samples that
-monotonicity with a seeded generator.  It draws each trial's sizes and
-Dirichlet(1) columns in order, one trial at a time, and evaluates the
-draws as zero-padded stacks of at most
-:data:`~expcompare._samplers.TRIAL_BLOCK` trials; its violation counts
-equal those of the per-trial functions here and its largest excess
-agrees with theirs within 1e-12.
+monotonicity with a seeded generator.  It draws each block of at most
+:data:`~expcompare._samplers.TRIAL_BLOCK` trials in one ``rng.random``
+call, a fixed number of doubles per trial, and evaluates it as
+zero-padded stacks; its violation counts equal those of the per-trial
+functions here and its largest excess agrees with theirs within 1e-12.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._samplers import _below, blocks, trial_count
+from ._samplers import blocks, dirichlet, size_masks, trial_count, uniform_loss
 from .core import EPS_TOL, Distribution, Transition, _clean_weights
 from .errors import ArgumentError, ShapeError
 from .loss import LossMatrix, entropy
@@ -41,6 +40,10 @@ _CONVEXITY_GRID = np.linspace(0.0, 4.0, 33)
 
 #: The monotonicity laws :func:`dpi_check` samples.
 DPI_KINDS = ("variational", "phi", "mutual_information", "risk_gap")
+
+#: The doubles of one trial of each kind, in the order :func:`dpi_check` gives.
+_FIELDS = {"variational": (2, 16, 8), "phi": (2, 16, 8),
+           "mutual_information": (3, 16, 16, 4), "risk_gap": (4, 16, 16, 4, 16)}
 
 
 @dataclass(frozen=True)
@@ -165,23 +168,23 @@ def dpi_check(kind: str, trials: int, seed: int = 0) -> DpiReport:
     """Sample random instances and post-processings for one monotonicity law.
 
     ``kind`` is one of ``variational``, ``phi`` (Kullback-Leibler),
-    ``mutual_information`` or ``risk_gap``.  Each trial draws sizes in
-    2..4, fresh distributions/experiments and a random post-processing,
-    then records by how much the processed quantity exceeds the original
-    (a violation when above :data:`DPI_SLACK`; an undefined ``inf - inf``
-    excess is neither a violation nor a maximum).
+    ``mutual_information`` or ``risk_gap``.  Each trial records by how
+    much the processed quantity exceeds the original (a violation when
+    above :data:`DPI_SLACK`; an undefined ``inf - inf`` excess is neither
+    a violation nor a maximum).
 
-    Each trial draws from ``seed``, in this order: the source and target
-    sizes (``integers(2, 5)`` each) and the post-processing's columns
-    (flat ``dirichlet``, one per source outcome); then either ``P`` and
-    ``Q`` (flat ``dirichlet``), or the unknowns count, the experiment's
-    columns and the prior, and for ``risk_gap`` the action count and the
-    loss (``uniform(-1, 1)``, unknowns by actions).  The draws are
-    zero-padded to size 4 and evaluated in the blocks of
-    :func:`~expcompare._samplers.blocks`, with the ingestion checks of
-    :class:`~expcompare.core.Transition` and
-    :class:`~expcompare.core.Distribution` applied to each block's stack
-    and to its pushed and composed stacks.  The violation counts equal
+    Each block of ``n`` trials of :func:`~expcompare._samplers.blocks` is
+    one ``rng.random((n, W))`` call on the generator of ``seed``, ``W``
+    doubles per trial: 26 for ``variational`` and ``phi``, 39 for
+    ``mutual_information`` and 56 for ``risk_gap``.  A trial's row gives
+    its sizes in 2..4 (source, target, unknowns, actions), the
+    post-processing's flat-Dirichlet columns (4 x 4), then ``P`` and
+    ``Q`` (flat Dirichlet, 4 x 2), or the experiment's columns (4 x 4),
+    the prior (flat Dirichlet, 4) and the loss (uniform in ``[-1, 1)``,
+    4 x 4); so the first ``t`` trials of any run are the same instances.
+    Each block's stacks, pushed and composed stacks included, pass the
+    ingestion checks of :class:`~expcompare.core.Transition` and
+    :class:`~expcompare.core.Distribution`.  The violation counts equal
     those of the per-trial functions of this module; the largest excess
     agrees with theirs to summation order (within 1e-12).
     """
@@ -205,9 +208,10 @@ def dpi_check(kind: str, trials: int, seed: int = 0) -> DpiReport:
 
 
 def _dpi_block(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The excesses of ``n`` trials of ``kind``, drawn in order from ``rng``.
+    """The excesses of ``n`` trials of ``kind``, drawn in one ``rng.random`` call.
 
-    Stacks are zero-padded to size 4: ``f[b, w, z]`` is the
+    Trial ``b`` reads row ``b`` in the slices of ``_FIELDS[kind]``, each
+    row-major into a stack zero-padded to size 4: ``f[b, w, z]`` is the
     post-processing, ``pq[b, z, :]`` the pair ``P, Q`` as two columns,
     ``e[b, z, t]`` the experiment, ``pi[b, t, 0]`` the prior and
     ``loss[b, t, a]`` the loss.  Padded cells are exact zeros, so they
@@ -215,49 +219,30 @@ def _dpi_block(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
     check, padded actions never reach a minimum and padded observations
     are unsupported.
     """
-    pair = kind in ("variational", "phi")
-    ones = {k: np.ones(k) for k in range(2, 5)}
-    f = np.zeros((n, 4, 4))
-    n_src = []
-    if pair:
-        pq = np.zeros((n, 4, 2))
-    else:
-        e = np.zeros((n, 4, 4))
-        pi = np.zeros((n, 4, 1))
-        loss = np.zeros((n, 4, 4))
-        n_unk, n_act = [], []
-    for b in range(n):
-        ns, nt = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        n_src.append(ns)
-        f[b, :nt, :ns] = rng.dirichlet(ones[nt], size=ns).T
-        if pair:
-            pq[b, :ns, 0] = rng.dirichlet(ones[ns])
-            pq[b, :ns, 1] = rng.dirichlet(ones[ns])
-            continue
-        nu = int(rng.integers(2, 5))
-        n_unk.append(nu)
-        e[b, :ns, :nu] = rng.dirichlet(ones[ns], size=nu).T
-        pi[b, :nu, 0] = rng.dirichlet(ones[nu])
-        if kind == "risk_gap":
-            na = int(rng.integers(2, 5))
-            n_act.append(na)
-            loss[b, :nu, :na] = rng.uniform(-1.0, 1.0, size=(nu, na))
-    f = _stochastic(f, _below(n_src), "transition matrix")
-    if pair:
-        pq = _stochastic(pq, True, "distribution weights")
+    fields = _FIELDS[kind]
+    size, f, *rest = np.split(rng.random((n, sum(fields))), np.cumsum(fields)[:-1], axis=1)
+    src, tgt, *more = size_masks(size.T)
+    f = dirichlet(f.reshape(n, 4, 4), tgt[:, :, None] & src[:, None, :])
+    f = _stochastic(f, src, "transition matrix")
+    if kind in ("variational", "phi"):
+        pq = _stochastic(dirichlet(rest[0].reshape(n, 4, 2), src[:, :, None]), True,
+                         "distribution weights")
         fpq = _stochastic(f @ pq, True, "distribution weights")
         if kind == "variational":
             return _variational(fpq) - _variational(pq)
         return _kl(fpq) - _kl(pq)
-    unk = _below(n_unk)
-    e = _stochastic(e, unk, "transition matrix")
-    pi = _stochastic(pi, True, "distribution weights")[:, None, :, 0]
+    unk = more[0]
+    e = _stochastic(dirichlet(rest[0].reshape(n, 4, 4), src[:, :, None] & unk[:, None, :]),
+                    unk, "transition matrix")
+    pi = _stochastic(dirichlet(rest[1].reshape(n, 4, 1), unk[:, :, None]), True,
+                     "distribution weights")[:, None, :, 0]
     noisy = _stochastic(f @ e, unk, "transition matrix")
     if kind == "mutual_information":
         return _information(noisy, pi) - _information(e, pi)
+    actions = more[1][:, None, :]
+    loss = uniform_loss(rest[2].reshape(n, 4, 4), unk[:, :, None] & actions)
     if not np.isfinite(loss).all():
         raise ArgumentError("loss matrix contains non-finite entries")
-    actions = _below(n_act)[:, None, :]
     # entropy(L, pi): the Bayes risk with nothing observed; equal for both experiments
     ent = _bayes_values(pi, loss, actions)
     return (ent - _bayes_values(noisy * pi, loss, actions)) - (

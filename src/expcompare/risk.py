@@ -19,7 +19,7 @@ feasible and ``lp`` solves it by a dual simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -301,18 +301,19 @@ def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> Bi
     return BiasVariance(float(bias), float(variance))
 
 
-def _best_dominating(
-    K: np.ndarray, sums: np.ndarray, target: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Maximize total pointwise improvement over ``target`` among all rules.
+def _dominating(
+    K: np.ndarray, sums: np.ndarray
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """The domination program of the rules ``K, sums``, for any target profile.
 
-    ``K, sums`` come from :func:`_rule_space`.  Minimizes the total risk
-    over the rules whose risk is at most ``target`` at every unknown, and
-    returns the total slack (the largest aggregate gain of a rule that
-    weakly beats the target profile everywhere) and the weights
-    ``1 - dual_ub >= 1`` of the unknowns.  By LP duality, under these
-    weights a rule with profile ``target`` scores at most the slack above
-    the Bayes actions, summed over observations.
+    ``K, sums`` come from :func:`_rule_space`.  The returned
+    ``best_dominating(target)`` minimizes the total risk over the rules
+    whose risk is at most ``target`` at every unknown, and returns the
+    total slack (the largest aggregate gain of a rule that weakly beats
+    the target profile everywhere) and the weights ``1 - dual_ub >= 1``
+    of the unknowns.  By LP duality, under these weights a rule with
+    profile ``target`` scores at most the slack above the Bayes actions,
+    summed over observations.
 
     Each observation's reference is the action with the lowest total risk
     (the Bayes rule for uniform weights), substituted as in
@@ -323,19 +324,23 @@ def _best_dominating(
     reference rule's profile are infeasible.  So the program has no
     artificial column: ``lp`` takes its dual simplex when there is such a
     row, and otherwise the start is already optimal.  The slack of each
-    risk row is the solver's own.
+    risk row is the solver's own.  Only the right-hand side depends on
+    the target.
     """
     n_t = len(K)
     ref, rest, tot, base, rows, sum_rows = _substitute_references(K.reshape(n_t, -1), sums)
-    room = target - base
-    res = lp.solve(lp.LinearProgram._unchecked(
-        (tot - tot[ref] @ sums)[rest],
-        np.vstack([rows, sum_rows]),
-        np.concatenate([room, np.ones(len(sum_rows))]),
-    ))
-    if not res.is_optimal:
-        raise SolverError(f"domination program did not solve: {res.status}")
-    return float(room.sum() - res.value), 1.0 - res.dual_ub[:n_t]
+    cost = (tot - tot[ref] @ sums)[rest]
+    a_ub = np.vstack([rows, sum_rows])
+    ones = np.ones(len(sum_rows))
+
+    def best_dominating(target: np.ndarray) -> tuple[float, np.ndarray]:
+        room = target - base
+        res = lp.solve(lp.LinearProgram._unchecked(cost, a_ub, np.concatenate([room, ones])))
+        if not res.is_optimal:
+            raise SolverError(f"domination program did not solve: {res.status}")
+        return float(room.sum() - res.value), 1.0 - res.dual_ub[:n_t]
+
+    return best_dominating
 
 
 def is_admissible(L: LossMatrix, e: Transition, d: Transition) -> bool:
@@ -345,7 +350,7 @@ def is_admissible(L: LossMatrix, e: Transition, d: Transition) -> bool:
     slack; admissible means the optimum is at most the solver tolerance.
     """
     _check_pair(L, e, d)
-    slack, _ = _best_dominating(*_rule_space(L, e), risk_profile(L, e, d).values)
+    slack, _ = _dominating(*_rule_space(L, e))(risk_profile(L, e, d).values)
     return slack <= lp.FEAS_TOL
 
 
@@ -375,7 +380,7 @@ def complete_class_check(
     """Enumerate deterministic rules and pair each admissible one with a prior.
 
     For every deterministic rule the report records its risk profile,
-    whether any rule dominates it (the LP of :func:`_best_dominating`),
+    whether any rule dominates it (the LP of :func:`_dominating`),
     and, for an admissible rule, a full-support prior under which it is
     Bayes.  The check passes when every admissible rule has a prior, as
     the complete class theorem says.
@@ -407,11 +412,12 @@ def complete_class_check(
     # profiles[r, t]: rule r's risk at t, summed over the contiguous observation axis
     profiles = np.ascontiguousarray(K[:, obs, rules].sum(axis=2).T)
     dominated = _dominated_by_front(profiles)
+    best_dominating = _dominating(K, sums)
     reports = []
     for g, profile, beaten in zip(rules, profiles, dominated):
         admissible, prior = False, None
         if not beaten:
-            slack, weights = _best_dominating(K, sums, profile)
+            slack, weights = best_dominating(profile)
             admissible = slack <= lp.FEAS_TOL
         if admissible:
             pi = weights / weights.sum()

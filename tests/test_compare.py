@@ -36,7 +36,7 @@ from expcompare import (
     uniform,
     zero_one_loss,
 )
-from expcompare import _samplers, lp
+from expcompare import _samplers, compare, lp
 from expcompare.risk import SUPPORT_CUTOFF
 from expcompare._samplers import TRIAL_BLOCK
 
@@ -183,12 +183,18 @@ class TestRandomizationCheck:
 
 
 def _reference_randomization(e, e2, pi, trials, seed):
-    """The audit one sampled loss at a time, through ``min_bayes_risk``."""
+    """The audit one sampled loss at a time, through ``min_bayes_risk``.
+
+    Trial ``i`` reads row ``i`` of one ``rng.random((trials, 1 + 4 |T|))``
+    draw: the action count, then the losses row-major, unknowns by 4 actions.
+    """
     eps = directed_deficiency(e, e2, pi).value
-    rng = np.random.default_rng(seed)
+    n_t = len(e.source)
     violations, max_directed, max_abs = 0, -np.inf, 0.0
-    for _ in range(trials):
-        L = random_loss(rng, e.source, int(rng.integers(2, 5)))
+    for row in np.random.default_rng(seed).random((trials, 1 + 4 * n_t)):
+        n_a = 2 + int(3.0 * row[0])
+        values = 2.0 * row[1:].reshape(n_t, 4)[:, :n_a] - 1.0
+        L = LossMatrix(e.source, labeled("a", n_a), values)
         r1 = min_bayes_risk(L, e, pi).value
         r2 = min_bayes_risk(L, e2, pi).value
         diam = 2.0 * L.sup_norm
@@ -264,6 +270,33 @@ class TestRandomizationEquivalence:
         for _ in range(40):
             e, e2, pi, trials = _randomization_instance(rng, "random")
             self._check(e, e2, pi, trials, int(rng.integers(1 << 30)))
+
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+        rng = np.random.default_rng(9250)
+        for case in ("one_unknown", "zero_prior_weight", "random"):
+            e, e2, pi, _ = _randomization_instance(rng, case)
+            reports = []
+            for block in (1, 7, 1024):
+                monkeypatch.setattr(_samplers, "TRIAL_BLOCK", block)
+                reports.append(randomization_check(e, e2, pi, trials=1030, seed=31))
+            assert reports[0] == reports[1] == reports[2]
+
+    def test_a_longer_run_scores_the_same_first_trials(self, monkeypatch):
+        monkeypatch.setattr(_samplers, "TRIAL_BLOCK", 7)
+        bayes_values, scored = compare._bayes_values, []
+        monkeypatch.setattr(
+            compare, "_bayes_values", lambda *a: scored.append(bayes_values(*a)) or scored[-1]
+        )
+
+        def risks(trials):
+            scored.clear()
+            randomization_check(BSC01, BSC03, UNIF, trials=trials, seed=37)
+            # the blocks score e, then e2
+            return np.concatenate(scored[0::2]), np.concatenate(scored[1::2])
+
+        short, long = risks(25), risks(50)
+        for r, r_long in zip(short, long):
+            assert np.array_equal(r, r_long[:25])
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_meaningless_trial_counts_rejected_before_any_lp(self, trials, monkeypatch):

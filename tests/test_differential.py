@@ -35,7 +35,7 @@ from expcompare import (
     minimax_risk,
 )
 from expcompare.loss import support_gap
-from expcompare.risk import _best_dominating
+from expcompare.risk import _dominating
 
 #: linprog status codes for the three outcomes of ``lp.solve``.
 HIGHS_STATUS = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}
@@ -168,7 +168,7 @@ def test_domination_programs(seed, n_t, n_z, n_a, integer):
     ``sum_a d(a|z) == 1``.  The rule itself meets every risk row with
     equality at ``s = 0``, so the programs are degenerate.  The library
     minimizes the total risk with the slacks left to the solver
-    (``risk._best_dominating``), from the uniform Bayes rule as reference;
+    (``risk._dominating``), from the uniform Bayes rule as reference;
     its total slack must be the same optimum, and that of the
     unsubstituted program, which ``lp.solve`` takes with artificials.
     When that slack is at most ``FEAS_TOL`` (the rule is admissible), the
@@ -194,7 +194,7 @@ def test_domination_programs(seed, n_t, n_z, n_a, integer):
     assert ref.status == 0, ref.message
     assert ours.is_optimal
     assert ours.value == pytest.approx(ref.fun, abs=VALUE_TOL)
-    slack, weights = _best_dominating(K, sums, profile)
+    slack, weights = _dominating(K, sums)(profile)
     assert slack == pytest.approx(-ref.fun, abs=VALUE_TOL)
     risks = K.reshape(n_t, n_z * n_a)
     unsub = lp.solve(LinearProgram(risks.sum(axis=0), a_ub=risks, b_ub=profile,

@@ -12,6 +12,7 @@ from expcompare import (
     ArgumentError,
     Distribution,
     LabeledSet,
+    LossMatrix,
     PhiSpec,
     Transition,
     binary_symmetric,
@@ -33,8 +34,9 @@ from expcompare import (
     variational,
     zero_one_loss,
 )
-from expcompare import _samplers, divergence, risk
+from expcompare import _samplers, compare, divergence, risk
 from expcompare._samplers import TRIAL_BLOCK
+from expcompare.core import EPS_TOL
 
 THETA = LabeledSet(("-1", "1"))
 UNIF = uniform(THETA)
@@ -376,31 +378,53 @@ class TestDpiCheck:
         assert peak(5000) <= 2 * peak(1024)
 
 
+#: The doubles of one trial of each dpi kind, in the order the ``dpi_check``
+#: docstring gives: sizes, post-processing, then P and Q, or experiment,
+#: prior and loss.
+DPI_FIELDS = {
+    "variational": (2, 16, 8),
+    "phi": (2, 16, 8),
+    "mutual_information": (3, 16, 16, 4),
+    "risk_gap": (4, 16, 16, 4, 16),
+}
+
+
+def _flat_dirichlet(u, rows, cols):
+    """Flat-Dirichlet columns from a slice read row-major as zero-padded ``4 x (len(u) / 4)``."""
+    x = -np.log1p(-u.reshape(4, -1)[:rows, :cols])
+    return x / x.sum(axis=0)
+
+
 def _reference_dpi(kind, trials, seed):
-    """The audit one trial at a time, through the objects and functions of the library."""
-    rng = np.random.default_rng(seed)
+    """The audit one trial at a time, through the objects and functions of the library.
+
+    Trial ``i`` reads row ``i`` of one ``rng.random((trials, W))`` draw.
+    """
+    fields = DPI_FIELDS[kind]
     kl = PhiSpec.kl()
     violations, max_excess = 0, -math.inf
-    for _ in range(trials):
-        src = labeled("z", int(rng.integers(2, 5)))
-        tgt = labeled("w", int(rng.integers(2, 5)))
-        f = random_markov(rng, src, tgt)
+    for row in np.random.default_rng(seed).random((trials, sum(fields))):
+        size, f_u, *rest = np.split(row, np.cumsum(fields)[:-1])
+        n_src, n_tgt, *more = (2 + int(3.0 * u) for u in size)
+        src, tgt = labeled("z", n_src), labeled("w", n_tgt)
+        f = Transition(src, tgt, _flat_dirichlet(f_u, n_tgt, n_src))
         if kind in ("variational", "phi"):
-            P = random_distribution(rng, src)
-            Q = random_distribution(rng, src)
+            pq = _flat_dirichlet(rest[0], n_src, 2)
+            P, Q = Distribution(src, pq[:, 0]), Distribution(src, pq[:, 1])
             if kind == "variational":
                 excess = variational(push(f, P), push(f, Q)) - variational(P, Q)
             else:
                 excess = phi_divergence(kl, push(f, P), push(f, Q)) - phi_divergence(kl, P, Q)
         else:
-            unknowns = labeled("t", int(rng.integers(2, 5)))
-            e = random_markov(rng, unknowns, src)
-            pi = random_distribution(rng, unknowns)
+            unknowns = labeled("t", more[0])
+            e = Transition(unknowns, src, _flat_dirichlet(rest[0], n_src, more[0]))
+            pi = Distribution(unknowns, _flat_dirichlet(rest[1], more[0], 1)[:, 0])
             noisy = compose(f, e)
             if kind == "mutual_information":
                 excess = mutual_information(noisy, pi) - mutual_information(e, pi)
             else:
-                L = random_loss(rng, unknowns, int(rng.integers(2, 5)))
+                values = 2.0 * rest[2].reshape(4, 4)[: more[0], : more[1]] - 1.0
+                L = LossMatrix(unknowns, labeled("a", more[1]), values)
                 excess = risk_gap(L, noisy, pi) - risk_gap(L, e, pi)
         if excess > divergence.DPI_SLACK:
             violations += 1
@@ -436,3 +460,88 @@ class TestDpiEquivalence:
         for kind in divergence.DPI_KINDS:
             for _ in range(10):
                 self._check(kind, int(rng.integers(1, 30)), int(rng.integers(1 << 30)))
+
+    @pytest.mark.parametrize("kind", ["variational", "phi", "mutual_information", "risk_gap"])
+    def test_reports_do_not_depend_on_the_block_size(self, kind, monkeypatch):
+        reports = []
+        for block in (1, 7, 1024):
+            monkeypatch.setattr(_samplers, "TRIAL_BLOCK", block)
+            reports.append(dpi_check(kind, trials=1030, seed=17))
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("kind", ["variational", "phi", "mutual_information", "risk_gap"])
+    def test_a_longer_run_scores_the_same_first_trials(self, kind, monkeypatch):
+        monkeypatch.setattr(_samplers, "TRIAL_BLOCK", 7)
+        block, scored = divergence._dpi_block, []
+        monkeypatch.setattr(divergence, "_dpi_block", lambda *a: scored.append(block(*a)) or scored[-1])
+
+        def excesses(trials):
+            scored.clear()
+            dpi_check(kind, trials=trials, seed=23)
+            return np.concatenate(scored)
+
+        assert np.array_equal(excesses(25), excesses(50)[:25], equal_nan=True)
+
+
+def _recorder(monkeypatch, module, name):
+    """Replace the draw ``module.name(u, cells)`` by one that also records ``(cells, draw)``."""
+    draw, calls = getattr(module, name), []
+
+    def record(u, cells):
+        out = draw(u, cells)
+        calls.append((np.broadcast_to(cells, out.shape), out))
+        return out
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def _assert_uniform_sizes(counts):
+    """Sizes hit each of 2, 3 and 4, each within five standard errors of a third."""
+    share = np.bincount(counts, minlength=5) / counts.size
+    assert share[:2].sum() == 0.0 and share[2:].min() > 0.0
+    assert np.abs(share[2:] - 1.0 / 3.0).max() <= 5.0 * math.sqrt(2.0 / 9.0 / counts.size)
+
+
+def _assert_uniform_losses(calls):
+    """Padded cells are exact zeros; the rest lie in [-1, 1) with mean 0 within five standard errors."""
+    for cells, loss in calls:
+        assert not loss[~cells].any()
+    values = np.concatenate([loss[cells] for cells, loss in calls])
+    assert values.min() >= -1.0 and values.max() < 1.0
+    assert abs(values.mean()) <= 5.0 * math.sqrt(1.0 / 3.0 / values.size)
+    _assert_uniform_sizes(np.concatenate([cells.any(axis=1).sum(axis=1) for cells, _ in calls]))
+
+
+class TestSampledDraws:
+    """The laws of the draws, recorded from inside the sampled audits."""
+
+    def test_dpi_draws(self, monkeypatch):
+        columns = _recorder(monkeypatch, divergence, "dirichlet")
+        losses = _recorder(monkeypatch, divergence, "uniform_loss")
+        dpi_check("risk_gap", trials=30_000, seed=3)
+        for cells, m in columns:
+            assert not m[~cells].any()
+            used = cells.any(axis=1)
+            assert np.abs(m.sum(axis=1)[used] - 1.0).max() <= EPS_TOL
+        # the post-processings' and experiments' rows and columns count the
+        # target, source and unknowns outcomes of each trial
+        square = [cells for cells, _ in columns if cells.shape[-1] == 4]
+        _assert_uniform_sizes(np.concatenate(
+            [c.any(axis=axis).sum(axis=1) for c in square for axis in (1, 2)]
+        ))
+        _assert_uniform_losses(losses)
+        # entries of flat-Dirichlet columns of k rows are Beta(1, k - 1)
+        for k in (2, 3, 4):
+            x = np.concatenate([
+                m.transpose(0, 2, 1)[cells.sum(axis=1) == k][:, :k] for cells, m in columns
+            ])
+            m2, m4 = 2.0 / (k * (k + 1)), 24.0 / (k * (k + 1) * (k + 2) * (k + 3))
+            var = m2 - 1.0 / k**2
+            assert np.abs(x.mean(axis=0) - 1.0 / k).max() <= 5.0 * math.sqrt(var / len(x))
+            assert np.abs((x**2).mean(axis=0) - m2).max() <= 5.0 * math.sqrt((m4 - m2**2) / len(x))
+
+    def test_randomization_draws(self, monkeypatch):
+        losses = _recorder(monkeypatch, compare, "uniform_loss")
+        randomization_check(binary_symmetric(0.2), BSC01, UNIF, trials=30_000, seed=3)
+        _assert_uniform_losses(losses)

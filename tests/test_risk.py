@@ -81,13 +81,14 @@ def _assert_matches_unscreened(L, e):
     K, sums = risk._rule_space(L, e)
     obs = np.arange(len(e.target))
     rules = list(iter_product(range(len(L.actions)), repeat=len(obs)))
+    best_dominating = risk._dominating(K, sums)
     assert len(rep.rules) == len(rules)
     for g, r in zip(rules, rep.rules):
         g = np.asarray(g)
         profile = K[:, obs, g].sum(axis=1)
         assert r.actions == tuple(L.actions.labels[a] for a in g)
         np.testing.assert_array_equal(r.risk, profile)
-        slack, _ = risk._best_dominating(K, sums, profile)
+        slack, _ = best_dominating(profile)
         assert r.admissible == (slack <= lp.FEAS_TOL)
         assert (r.prior is not None) == r.admissible
         if r.prior is not None:
@@ -560,6 +561,16 @@ class TestCompleteClass:
         with pytest.raises(ArgumentError, match="cap must be an integer"):
             complete_class_check(L01, BSC01, cap=cap)
 
+    def test_substitution_is_built_once_per_check(self, monkeypatch):
+        # the 31 domination programs differ only in their right-hand sides
+        substitute, calls = risk._substitute_references, []
+        monkeypatch.setattr(
+            risk, "_substitute_references", lambda *a: calls.append(1) or substitute(*a)
+        )
+        results = record_solves(monkeypatch)
+        complete_class_check(*_instance_243())
+        assert (len(calls), len(results)) == (1, LPS_243)
+
     def test_degenerate_243_rule_instance(self, monkeypatch):
         # losses in [0, 1]; the domination LP of the 152nd rule once
         # cycled to the pivot limit
@@ -635,13 +646,13 @@ class TestCompleteClass:
         L = LossMatrix(THETA, LabeledSet(("a0", "a1")), [[1.0, 1.0], [1.0, 1.0 - gain]])
         one = terminal(THETA)
         targets = []
-        best_dominating = risk._best_dominating
+        dominating = risk._dominating
 
-        def recording(K, sums, target):
-            targets.append(target.copy())
-            return best_dominating(K, sums, target)
+        def recording(K, sums):
+            best_dominating = dominating(K, sums)
+            return lambda target: targets.append(target.copy()) or best_dominating(target)
 
-        monkeypatch.setattr(risk, "_best_dominating", recording)
+        monkeypatch.setattr(risk, "_dominating", recording)
         rep = complete_class_check(L, one)
         assert any(np.array_equal(t, [1.0, 1.0]) for t in targets)
         assert rep.rules[0].admissible == (gain <= lp.FEAS_TOL)
