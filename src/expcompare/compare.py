@@ -53,23 +53,27 @@ def directed_deficiency(e: Transition, e2: Transition, pi: Distribution) -> Defi
     """Smallest prior-averaged variational gap ``V(f.e(theta), e2(theta))``.
 
     Solved as an LP in the post-processing ``F`` and, per entry ``(i, j)``
-    of ``e2``, a positive and a negative deviation ``P_ij, Q_ij >= 0``
-    with one equality ``pi_j ([F E]_ij - E2_ij) = P_ij - Q_ij``.  The
-    optimum of ``sum(P + Q)`` is the prior-weighted ``l1`` gap, reported
-    halved to match the ``V = 0.5 * l1`` convention.  Zero (up to
-    tolerance) exactly when ``e`` divides ``e2``.
+    of ``e2``, deviations ``P_ij, Q_ij >= 0`` with
+    ``pi_j ([F E]_ij - E2_ij) = P_ij - Q_ij``; the optimum of ``sum(P + Q)``
+    is the prior-weighted ``l1`` gap, reported halved to match the
+    ``V = 0.5 * l1`` convention.  Zero (up to tolerance) exactly when
+    ``e`` divides ``e2``.
 
     The program starts at a feasible vertex: the deterministic
     post-processing ``k -> r[k]``, where ``r[k]`` is the outcome ``i``
     with the largest joint overlap ``sum_j E2_ij pi_j E_kj`` (lowest index
     on ties).  Each ``F[r[k], k]`` is substituted by
-    ``1 - sum_{i != r[k]} F[i, k]``, so the column sums become the ``<=``
-    rows ``sum_{i != r[k]} F[i, k] <= 1``, each with its own slack, and
-    every gap row has a unit column (``Q``, or ``P`` where the right-hand
-    side ``pi_j (E2 - R E)_ij`` is negative, ``R`` being the 0/1 matrix
-    of ``k -> r[k]``).  Phase one therefore needs no artificial column
-    and takes no pivot.  The witness row ``r[k]`` is rebuilt as one minus
-    the rest of its column.
+    ``1 - sum_{i != r[k]} F[i, k]``, so the column sums become ``<=`` rows.
+    Gap row ``r``, entry ``(i, j)``, has ``b_r = pi_j (E2 - R E)_ij`` (``R``
+    the 0/1 matrix of ``k -> r[k]``) and sign ``s_r``, ``-1`` where
+    ``b_r < 0`` and else ``+1``; it becomes ``s_r gap_r . F - D_r <= |b_r|``,
+    where ``D_r`` is ``P_r`` if ``s_r = +1`` and ``Q_r`` otherwise, and the
+    row's slack is the other deviation.  As ``P_r + Q_r = 2 D_r + |b_r| -
+    s_r gap_r . F``, the costs are 2 on ``D`` and ``-sum_r s_r gap_r`` on
+    ``F``.  Every right-hand side is nonnegative, so the program starts at
+    its slack basis and phase one takes no pivot.  The value is half the
+    sum of every ``D_r`` and its slack; the witness row ``r[k]`` is one
+    minus the rest of its column.
     """
     _check_same_source(e, e2)
     if pi.space != e.source:
@@ -86,26 +90,30 @@ def directed_deficiency(e: Transition, e2: Transition, pi: Distribution) -> Defi
     rows, obs = np.nonzero(vertex == 0.0)
     n_f = rows.size
 
-    # columns [P, Q, F free]; row i * |T| + j is the entry (i, j) of e2.
+    # columns [D, F free]; row i * |T| + j is the entry (i, j) of e2.
     # F[i, k] adds pi_j E_kj to the rows of outcome i and takes it from
     # the rows of r[k], whose entry absorbs the rest of column k.
-    eye = np.eye(n_m)
     moved = joint[:, obs].T
     gap = np.zeros((n_o2, n_t, n_f))
     gap[rows, :, np.arange(n_f)] = moved
     gap[start[obs], :, np.arange(n_f)] = -moved
-    a_gap = np.hstack([-eye, eye, gap.reshape(n_m, n_f)])
-    b_gap = e2_mat * pw - vertex @ joint.T
+    b_gap = (e2_mat * pw - vertex @ joint.T).ravel()
+    s_gap = np.where(b_gap < 0.0, -1.0, 1.0)[:, None] * gap.reshape(n_m, n_f)
     # one row per observation k of e: sum_{i != r[k]} F[i, k] <= 1
-    a_sum = np.hstack([np.zeros((n_o, 2 * n_m)), np.equal.outer(np.arange(n_o), obs)])
-    c = np.concatenate([np.ones(2 * n_m), np.zeros(n_f)])
-    res = lp.solve(lp.LinearProgram._unchecked(c, a_sum, np.ones(n_o), a_gap, b_gap.ravel()))
+    a_sum = np.hstack([np.zeros((n_o, n_m)), np.equal.outer(np.arange(n_o), obs)])
+    a_ub = np.vstack([np.hstack([-np.eye(n_m), s_gap]), a_sum])
+    c = np.concatenate([np.full(n_m, 2.0), -s_gap.sum(axis=0)])
+    b_abs = np.abs(b_gap)
+    res = lp.solve(lp.LinearProgram._unchecked(c, a_ub, np.concatenate([b_abs, np.ones(n_o)])))
     if not res.is_optimal:
         raise SolverError(f"deficiency program did not solve: {res.status}")
+    d, x = res.primal[:n_m], res.primal[n_m:]
     f = np.zeros((n_o2, n_o))
-    f[rows, obs] = res.primal[2 * n_m:]
+    f[rows, obs] = x
     f[start, np.arange(n_o)] = 1.0 - f.sum(axis=0)
-    return DeficiencyResult(0.5 * float(res.value), Transition(e.target, e2.target, f))
+    # half the sum of each D_r and its slack |b_r| - s_r gap_r . F + D_r
+    value = 0.5 * float((d + (b_abs - s_gap @ x + d)).sum())
+    return DeficiencyResult(value, Transition(e.target, e2.target, f))
 
 
 def divides(

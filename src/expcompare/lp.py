@@ -21,9 +21,11 @@ A program takes one of two paths to a feasible basis.
   infeasible when it is below ``-FEAS_TOL``, the residual phase one
   allows; above that it counts as feasible.
 * *Two phases.*  Every other program has its rows signed to nonnegative
-  right-hand sides and starts from a crash basis: every column that is
-  a unit vector starts basic in its row; only the rows left over get
-  artificial columns, and a program with none skips phase one.
+  right-hand sides.  A ``<=`` row that was not negated starts at its
+  slack; equality rows and negated rows get artificial columns, and a
+  program with none skips phase one.
+Every program the library builds has only ``<=`` rows, so either path
+starts it at its slack basis.
 
 Then phase two runs a primal simplex from the feasible basis.  Its
 entering column is chosen by exact steepest edge: among the negative
@@ -38,8 +40,8 @@ identical result.  ``LPResult.pivots`` reports the pivots of each phase;
 the dual simplex's count as phase one.
 
 Duals are read off the final tableau.  Every row starts with a unit
-column (a slack, a crash column or an artificial), whose reduced cost at
-the end is its cost minus the row's dual.  Sign convention for the
+column (a slack or an artificial), whose reduced cost at the end is
+its cost minus the row's dual.  Sign convention for the
 minimization: duals of ``<=`` constraints are ``<= 0``, duals of
 equality constraints are free, and the dual objective
 ``b_eq @ dual_eq + b_ub @ dual_ub`` equals the primal value at
@@ -110,32 +112,20 @@ class LinearProgram:
         n = c.shape[0]
         a_ub, b_ub = _block(self.a_ub, self.b_ub, n, "upper-bound block")
         a_eq, b_eq = _block(self.a_eq, self.b_eq, n, "equality block")
-        for name, arr in (
-            ("objective", c),
-            ("a_ub", a_ub),
-            ("b_ub", b_ub),
-            ("a_eq", a_eq),
-            ("b_eq", b_eq),
-        ):
+        arrays = {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq}
+        for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
-                raise ArgumentError(f"{name} contains NaN or infinite entries")
-        for name, val in (
-            ("c", c),
-            ("a_ub", a_ub),
-            ("b_ub", b_ub),
-            ("a_eq", a_eq),
-            ("b_eq", b_eq),
-        ):
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
+                label = "objective" if name == "c" else name
+                raise ArgumentError(f"{label} contains NaN or infinite entries")
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
-    def _unchecked(cls, c, a_ub, b_ub, a_eq=None, b_eq=None) -> LinearProgram:
-        """A program on float arrays the library built itself: no copy, no checks."""
+    def _unchecked(cls, c, a_ub, b_ub) -> LinearProgram:
+        """A ``<=`` program on float arrays the library built itself: no copy, no checks."""
         p = object.__new__(cls)
-        if a_eq is None:
-            a_eq, b_eq = np.zeros((0, c.size)), np.zeros(0)
-        p.__dict__.update(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        p.__dict__.update(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=np.zeros((0, c.size)), b_eq=np.zeros(0))
         return p
 
     @property
@@ -295,7 +285,7 @@ def _price(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
 
 
 def _dual_start(p: LinearProgram) -> bool:
-    """Whether ``p`` starts at its slack basis and takes the dual simplex.
+    """Whether ``p`` takes the dual simplex from its slack basis.
 
     With no equality rows and ``c >= 0`` the slack basis is dual feasible;
     it is primal infeasible exactly when some ``b_ub < 0``.
@@ -303,20 +293,18 @@ def _dual_start(p: LinearProgram) -> bool:
     return p.b_eq.size == 0 and bool((p.c >= 0.0).all()) and bool((p.b_ub < 0.0).any())
 
 
-def _build(p: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _build(p: LinearProgram, dual: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The simplex tableau of ``p`` and its starting basis.
 
     The tableau has ``m`` constraint rows, then the reduced-cost row, and
     the columns: the variables, one slack per ``<=`` row, the
-    artificials, and the right-hand side.  A dual start (:func:`_dual_start`)
-    keeps its rows as given and starts at the slack basis, with ``c`` as
-    its reduced costs.  Every other program has its rows signed so that
-    every right-hand side is nonnegative.  Then any column that is a unit
-    vector (a single ``+1``) starts basic in its row, the lowest index
-    winning; only rows left without one get an artificial column.
-    Returns ``(tab, basis0, sign, n_struct)``: ``basis0`` is the starting
-    basis, ``sign`` the row signs and ``n_struct`` the number of columns
-    before the artificials.
+    artificials, and the right-hand side.  A dual start (``dual``) keeps
+    its rows as given, with ``c`` as its reduced costs.  Every other
+    program has its rows signed to nonnegative right-hand sides, and its
+    equality rows and negated rows start at artificial columns; every
+    other row starts at its slack.  Returns ``(tab, basis0, sign,
+    n_struct)``: the starting basis, the row signs and the number of
+    columns before the artificials.
     """
     n, n_eq, n_ub = p.n_vars, p.b_eq.size, p.b_ub.size
     m = n_eq + n_ub
@@ -327,21 +315,15 @@ def _build(p: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     tab[np.arange(n_eq, m), np.arange(n, n_struct)] = 1.0
     tab[:n_eq, -1] = p.b_eq
     tab[n_eq:m, -1] = p.b_ub
-    if _dual_start(p):
+    basis0 = np.arange(n - n_eq, n_struct)  # row n_eq + i at its slack n + i
+    if dual:
         tab[m, :n] = p.c
-        return tab, np.arange(n, n_struct), np.ones(m), n_struct
+        return tab, basis0, np.ones(m), n_struct
     flip = tab[:m, -1] < 0.0
     sign = np.where(flip, -1.0, 1.0)
     tab[:m][flip] *= -1.0
-    rows = tab[:m, :n_struct]
-    nonzero = rows != 0.0
-    unit = ((nonzero.sum(axis=0) == 1) & (rows.sum(axis=0) == 1.0)).nonzero()[0]
-    basis0 = np.full(m, -1, dtype=np.int64)
-    if unit.size:
-        # a stable unique keeps the first, so lowest, unit column per row
-        taken, first = np.unique(nonzero[:, unit].argmax(axis=0), return_index=True)
-        basis0[taken] = unit[first]
-    art_rows = (basis0 < 0).nonzero()[0]
+    flip[:n_eq] = True  # equality rows and negated rows start at artificials
+    art_rows = flip.nonzero()[0]
     if art_rows.size:
         arts = np.zeros((m + 1, art_rows.size))
         arts[art_rows, np.arange(art_rows.size)] = 1.0
@@ -374,10 +356,11 @@ def _max_iter(m: int, n: int) -> int:
 
 def solve(p: LinearProgram) -> LPResult:
     """Solve the program; status is optimal, infeasible or unbounded."""
-    tab, basis0, sign, n_struct = _build(p)
+    dual = _dual_start(p)
+    tab, basis0, sign, n_struct = _build(p, dual)
     m, n_total = tab.shape[0] - 1, tab.shape[1] - 1
     basis = basis0.copy()
-    if _dual_start(p):
+    if dual:
         feasible, pivots1 = _dual_simplex(tab, basis)
         if not feasible:
             return LPResult(status=INFEASIBLE, pivots=(pivots1, 0))

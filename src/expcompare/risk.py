@@ -88,9 +88,13 @@ class BiasVariance(NamedTuple):
     variance: float
 
 
-def _check_pair(L: LossMatrix, e: Transition, d: Transition) -> None:
+def _check_source(L: LossMatrix, e: Transition) -> None:
     if e.source != L.unknowns:
         raise ShapeError("experiment source does not match loss unknowns")
+
+
+def _check_pair(L: LossMatrix, e: Transition, d: Transition) -> None:
+    _check_source(L, e)
     if d.source != e.target:
         raise ShapeError("rule source does not match experiment target")
     if d.target != L.actions:
@@ -100,8 +104,7 @@ def _check_pair(L: LossMatrix, e: Transition, d: Transition) -> None:
 def risk_profile(L: LossMatrix, e: Transition, d: Transition) -> RiskProfile:
     """Expected loss of the strategy ``d after e`` at every unknown."""
     _check_pair(L, e, d)
-    K, _ = _rule_space(L, e)
-    return RiskProfile(L.unknowns, np.einsum("tza,az->t", K, d.matrix))
+    return RiskProfile(L.unknowns, np.einsum("tza,az->t", _rule_space(L, e), d.matrix))
 
 
 def bayes_risk(L: LossMatrix, e: Transition, d: Transition, pi: Distribution) -> float:
@@ -183,8 +186,7 @@ def min_bayes_risk(L: LossMatrix, e: Transition, pi: Distribution) -> MinBayesRe
     ``sum_t pi_t e[z, t] L[t, a]``; the other observations take action
     index 0.
     """
-    if e.source != L.unknowns:
-        raise ShapeError("experiment source does not match loss unknowns")
+    _check_source(L, e)
     if pi.space != L.unknowns:
         raise ShapeError("prior space does not match loss unknowns")
     joint = e.matrix * pi.weights  # joint[z, t]
@@ -209,17 +211,15 @@ def _bayes_values(joint: np.ndarray, loss: np.ndarray, actions: np.ndarray) -> n
     return np.where(supported, best, 0.0).sum(axis=-1)
 
 
-def _rule_space(L: LossMatrix, e: Transition) -> tuple[np.ndarray, np.ndarray]:
-    """Risk coefficients of the rule entries ``d(a|z)`` and their sum rows.
+def _rule_space(L: LossMatrix, e: Transition) -> np.ndarray:
+    """Risk coefficients ``K[t, z, a] = e[z, t] * L[t, a]`` of the rule entries.
 
-    ``K[t, z, a] = e[z, t] * L[t, a]`` is the risk at unknown ``t`` per
-    unit of ``d(a|z)``; reshaped to ``(|T|, |Z||A|)`` it is an LP block in
-    column ``z * |A| + a``, where ``sums[z]`` adds up the entries of
-    observation ``z``.
+    ``K[t, z, a]`` is the risk at unknown ``t`` per unit of ``d(a|z)``;
+    reshaped to ``(|T|, |Z||A|)`` it is an LP block in column
+    ``z * |A| + a``, where the 0/1 row ``np.repeat(np.eye(|Z|), |A|,
+    axis=1)[z]`` adds up the entries of observation ``z``.
     """
-    n_z, n_a = len(e.target), len(L.actions)
-    K = np.einsum("zt,ta->tza", e.matrix, L.values)
-    return K, np.kron(np.eye(n_z), np.ones(n_a))
+    return np.einsum("zt,ta->tza", e.matrix, L.values)
 
 
 def _rule_assignments(n_obs: int, n_actions: int, cap: int) -> np.ndarray:
@@ -246,10 +246,10 @@ def minimax_risk(L: LossMatrix, e: Transition) -> MinimaxResult:
     the unknowns, normalized; its Bayes risk equals the minimax value up
     to solver tolerance.
     """
-    if e.source != L.unknowns:
-        raise ShapeError("experiment source does not match loss unknowns")
-    K, sums = _rule_space(L, e)
+    _check_source(L, e)
+    K = _rule_space(L, e)
     n_t, n_z, n_a = K.shape
+    sums = np.repeat(np.eye(n_z), n_a, axis=1)
     value, x, weights = _epigraph(K.reshape(n_t, n_z * n_a), sums, np.zeros(n_t))
     rule = Transition(e.target, L.actions, x.reshape(n_z, n_a).T)
     # the basic level's column makes these sum to 1 up to pivot rounding
@@ -301,12 +301,10 @@ def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> Bi
     return BiasVariance(float(bias), float(variance))
 
 
-def _dominating(
-    K: np.ndarray, sums: np.ndarray
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """The domination program of the rules ``K, sums``, for any target profile.
+def _dominating(K: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """The domination program of the rules ``K``, for any target profile.
 
-    ``K, sums`` come from :func:`_rule_space`.  The returned
+    ``K`` comes from :func:`_rule_space`.  The returned
     ``best_dominating(target)`` minimizes the total risk over the rules
     whose risk is at most ``target`` at every unknown, and returns the
     total slack (the largest aggregate gain of a rule that weakly beats
@@ -327,7 +325,8 @@ def _dominating(
     risk row is the solver's own.  Only the right-hand side depends on
     the target.
     """
-    n_t = len(K)
+    n_t, n_z, n_a = K.shape
+    sums = np.repeat(np.eye(n_z), n_a, axis=1)
     ref, rest, tot, base, rows, sum_rows = _substitute_references(K.reshape(n_t, -1), sums)
     cost = (tot - tot[ref] @ sums)[rest]
     a_ub = np.vstack([rows, sum_rows])
@@ -350,7 +349,8 @@ def is_admissible(L: LossMatrix, e: Transition, d: Transition) -> bool:
     slack; admissible means the optimum is at most the solver tolerance.
     """
     _check_pair(L, e, d)
-    slack, _ = _dominating(*_rule_space(L, e))(risk_profile(L, e, d).values)
+    K = _rule_space(L, e)
+    slack, _ = _dominating(K)(np.einsum("tza,az->t", K, d.matrix))
     return slack <= lp.FEAS_TOL
 
 
@@ -403,16 +403,15 @@ def complete_class_check(
     too.  Any profile that beats ``p`` is itself beaten or matched by a
     front profile, which gains at least as much.
     """
-    if e.source != L.unknowns:
-        raise ShapeError("experiment source does not match loss unknowns")
-    K, sums = _rule_space(L, e)
+    _check_source(L, e)
+    K = _rule_space(L, e)
     n_z, n_a = K.shape[1:]
     rules = _rule_assignments(n_z, n_a, cap)
     obs = np.arange(n_z)
     # profiles[r, t]: rule r's risk at t, summed over the contiguous observation axis
     profiles = np.ascontiguousarray(K[:, obs, rules].sum(axis=2).T)
     dominated = _dominated_by_front(profiles)
-    best_dominating = _dominating(K, sums)
+    best_dominating = _dominating(K)
     reports = []
     for g, profile, beaten in zip(rules, profiles, dominated):
         admissible, prior = False, None

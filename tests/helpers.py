@@ -82,7 +82,7 @@ def assert_vertex_starts(seen) -> None:
     """Each recorded program has no artificial column and no phase-one pivot."""
     assert seen
     for p, res in seen:
-        tab, *_, n_struct = lp._build(p)
+        tab, *_, n_struct = lp._build(p, lp._dual_start(p))
         assert tab.shape[1] - 1 == n_struct  # no artificial column
         assert res.is_optimal and res.pivots[0] == 0
 
@@ -94,7 +94,7 @@ def assert_dual_starts(seen) -> int:
     so their slack basis is already optimal."""
     assert seen
     for p, res in seen:
-        tab, *_, n_struct = lp._build(p)
+        tab, *_, n_struct = lp._build(p, lp._dual_start(p))
         assert tab.shape[1] - 1 == n_struct  # no artificial column
         assert p.b_eq.size == 0 and (p.c >= 0.0).all()
         assert lp._dual_start(p) == (p.b_ub < 0.0).any()

@@ -521,9 +521,13 @@ class TestFeasibleStart:
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
        st.integers(0, 4))
 def test_gap_duals_certify_the_deficiency(seed, n_t, n_z, n_w, case):
-    """The duals ``y`` of the gap rows give a loss ``L[t, w] = -y[w, t]``
+    """The duals ``y`` of the gap equalities give a loss ``L[t, w] = -y[w, t]``
     whose Bayes-risk gap is twice the deficiency: the program's optimum is
-    attained by a loss with ``|L| <= 1``.  One case in five is divisible."""
+    attained by a loss with ``|L| <= 1``.  One case in five is divisible.
+
+    Each equality is solved as the ``<=`` row ``s (gap . F - b) - D <= 0``
+    of sign ``s``, and the costs are shifted by the sum of those rows,
+    so ``y = s (dual_ub + 1)``."""
     rng = np.random.default_rng(seed)
     theta = labeled("t", n_t)
     e = random_markov(rng, theta, labeled("z", n_z))
@@ -533,8 +537,13 @@ def test_gap_duals_certify_the_deficiency(seed, n_t, n_z, n_w, case):
         e2 = random_markov(rng, theta, labeled("w", n_w))
     pi = random_distribution(rng, theta)
     res, _, result = _recorded_deficiency(e, e2, pi)
-    y = result.dual_eq[: n_w * n_t].reshape(n_w, n_t)
-    assert np.abs(y).max() <= 1.0 + 1e-12
+    joint = (e.matrix * pi.weights).T
+    vertex = np.equal.outer(np.arange(n_w), (e2.matrix @ joint).argmax(axis=0)).astype(float)
+    s = np.where(e2.matrix * pi.weights - vertex @ joint.T < 0.0, -1.0, 1.0)
+    y = s * (result.dual_ub[: n_w * n_t].reshape(n_w, n_t) + 1.0)
+    # dual feasible within the solver's tolerance: phase two stops once
+    # every reduced cost, here 1 - |y| on the deviation columns, is >= -PIVOT_TOL
+    assert np.abs(y).max() <= 1.0 + lp.PIVOT_TOL
     L = LossMatrix(theta, e2.target, -y.T)
     gap = min_bayes_risk(L, e, pi).value - min_bayes_risk(L, e2, pi).value
     assert gap == pytest.approx(2.0 * res.value, abs=1e-12)

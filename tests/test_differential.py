@@ -194,7 +194,7 @@ def test_domination_programs(seed, n_t, n_z, n_a, integer):
     assert ref.status == 0, ref.message
     assert ours.is_optimal
     assert ours.value == pytest.approx(ref.fun, abs=VALUE_TOL)
-    slack, weights = _dominating(K, sums)(profile)
+    slack, weights = _dominating(K)(profile)
     assert slack == pytest.approx(-ref.fun, abs=VALUE_TOL)
     risks = K.reshape(n_t, n_z * n_a)
     unsub = lp.solve(LinearProgram(risks.sum(axis=0), a_ub=risks, b_ub=profile,

@@ -345,7 +345,8 @@ class TestEpigraphVertexStart:
         assert res.least_favorable_prior.weights.tolist() == [0.0, 1.0, 0.0]
         assert_vertex_starts(seen)
         (p, _), = seen
-        assert lp._build(p)[0].shape == (3 + 1, 1 + 3 + 1)  # rows: |T| and costs
+        tab = lp._build(p, lp._dual_start(p))[0]
+        assert tab.shape == (3 + 1, 1 + 3 + 1)  # rows: |T| and costs
 
     def test_minimax_with_tied_integer_losses(self, monkeypatch):
         seen = record_solves(monkeypatch)

@@ -26,6 +26,7 @@ from expcompare import (
     log_loss_grid,
     lp,
     min_bayes_risk,
+    minimax_risk,
     psi,
     uniform,
 )
@@ -106,7 +107,7 @@ class TestFeasible:
         programs += [random_dual_program(seed) for seed in range(300)]
         dual = 0
         for p in programs:
-            tab, basis0, _, n_struct = lp._build(p)
+            tab, basis0, _, n_struct = lp._build(p, lp._dual_start(p))
             if lp._dual_start(p):
                 ok, _ = lp._dual_simplex(tab, basis0)
                 dual += 1
@@ -312,8 +313,8 @@ class TestPivotRule:
     def test_pivots_per_phase(self):
         # slack basis is feasible: no phase-one work, one entering column
         assert solve([-1.0], a_ub=[[2.0]], b_ub=[1.0]).pivots == (0, 1)
-        # x itself is a unit column and starts basic at its optimum
-        assert solve([-1.0], a_ub=[[1.0]], b_ub=[1.0]).pivots == (0, 0)
+        # x is a unit column, but the row starts at its slack: one pivot
+        assert solve([-1.0], a_ub=[[1.0]], b_ub=[1.0]).pivots == (0, 1)
         # no unit column: phase one enters x1 (reduced cost -3), then
         # phase two trades it for the cheaper x0
         res = solve([1.0, 2.0], a_eq=[[2.0, 3.0]], b_eq=[1.0])
@@ -343,7 +344,7 @@ class TestDualSimplex:
     COVER = LinearProgram([1.0, 1.0], a_ub=[[-1.0, -1.0], [0.0, -1.0]], b_ub=[-1.0, -2.0])
 
     def test_starts_at_the_slack_basis_unsigned(self):
-        tab, basis0, sign, n_struct = lp._build(self.COVER)
+        tab, basis0, sign, n_struct = lp._build(self.COVER, True)
         assert list(basis0) == [2, 3] and tab.shape[1] - 1 == n_struct
         assert list(sign) == [1.0, 1.0] and list(tab[:2, -1]) == [-1.0, -2.0]
         assert list(tab[-1, :-1]) == [1.0, 1.0, 0.0, 0.0]  # c: the slacks cost nothing
@@ -408,39 +409,56 @@ class TestDualSimplex:
                 _assert_kkt(p, res)
 
 
-class TestCrashBasis:
+class TestSlackStart:
     @staticmethod
-    def crash(p):
+    def start(p):
         """Starting basis and artificial count of the built tableau."""
-        tab, basis0, _, n_struct = lp._build(p)
+        tab, basis0, _, n_struct = lp._build(p, lp._dual_start(p))
         return list(basis0), tab.shape[1] - 1 - n_struct
 
-    def test_unit_columns_replace_artificials(self):
-        p = LinearProgram([1.0, 1.0, 1.0], a_eq=[[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]],
-                          b_eq=[1.0, 2.0])
-        assert self.crash(p) == ([0, 1], 0)  # no artificial column
+    def test_nonnegative_rows_start_at_their_slacks(self):
+        p = LinearProgram([-1.0, -1.0], a_ub=[[1.0, 0.0], [1.0, 2.0]], b_ub=[1.0, 0.0])
+        assert self.start(p) == ([2, 3], 0)  # no artificial column
         assert lp.solve(p).pivots[0] == 0
 
-    def test_lowest_index_wins_and_signs_count(self):
-        # row 0 has b < 0: after negation column 1 (entry -1) is its unit
-        # column; columns 2 and 3 both fit row 1 and the lower index wins
-        p = LinearProgram([0.0, 1.0, 1.0, 1.0],
-                          a_eq=[[1.0, -1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]],
-                          b_eq=[-1.0, 2.0])
-        assert self.crash(p) == ([1, 2], 0)
+    def test_equality_and_negated_rows_get_artificials(self):
+        # the equality row and the negated <= row get the artificials 5
+        # and 6, in row order, though column 2 is a unit column of row 0
+        p = LinearProgram([1.0, 1.0, 1.0], a_eq=[[0.0, 0.0, 1.0]], b_eq=[0.5],
+                          a_ub=[[-2.0, -1.0, 0.0], [1.0, 1.0, 0.0]], b_ub=[-1.0, 3.0])
+        assert self.start(p) == ([5, 6, 4], 2)
         res = lp.solve(p)
-        assert res.value == pytest.approx(3.0, abs=1e-12)
+        assert res.is_optimal and res.pivots[0] > 0
+        assert res.value == pytest.approx(1.0, abs=1e-12)
 
-    def test_rows_without_unit_column_get_artificials(self):
-        p = LinearProgram([1.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                          b_eq=[1.0, 0.5], a_ub=[[2.0, 1.0, 0.0]], b_ub=[-1.0])
-        # row 0 and the negated <= row get the artificials 4 and 5
-        assert self.crash(p) == ([4, 2, 5], 2)
-        assert lp.solve(p).status == lp.INFEASIBLE
+    def test_library_programs_have_only_slack_starts(self, monkeypatch):
+        # every program that compare, loss and risk build: deficiency on
+        # random and divisible pairs, psi, minimax, admissibility and the
+        # complete class
+        rng = np.random.default_rng(30)
+        theta, z, w = labeled("t", 4), labeled("z", 4), labeled("w", 3)
+        seen = record_solves(monkeypatch)
+        for _ in range(5):
+            e = random_markov(rng, theta, z)
+            directed_deficiency(e, random_markov(rng, theta, w), random_distribution(rng, theta))
+            f = rng.dirichlet(np.ones(3), size=4).T
+            directed_deficiency(e, Transition(theta, w, f @ e.matrix), uniform(theta))
+            L = random_loss(rng, theta, 3, low=0.0)
+            v = rng.uniform(-1.0, 1.0, 4)
+            psi(L, v - v.mean())
+            minimax_risk(L, e)
+            is_admissible(L, e, rule_from_assignment(z, L.actions, rng.integers(3, size=4)))
+            complete_class_check(L, e)
+        assert len(seen) > 30
+        for p, res in seen:
+            tab, basis0, _, n_struct = lp._build(p, lp._dual_start(p))
+            assert p.b_eq.size == 0 and tab.shape[1] - 1 == n_struct
+            assert list(basis0) == list(range(p.n_vars, n_struct))
+            assert res.is_optimal
 
 
 class TestUncheckedPrograms:
-    """The library's own programs skip the copy; public construction keeps it."""
+    """The library's own ``<=`` programs skip the copy; public construction keeps it."""
 
     @staticmethod
     def arrays(p):
@@ -448,12 +466,9 @@ class TestUncheckedPrograms:
 
     def test_same_result_as_public(self):
         for seed in range(1000):
-            c, a_ub, b_ub, a_eq, b_eq = self.arrays(random_program(seed))
-            public = lp.solve(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq))
-            if b_eq.size:
-                unchecked = LinearProgram._unchecked(c, a_ub, b_ub, a_eq, b_eq)
-            else:  # a missing equality block gets no rows
-                unchecked = LinearProgram._unchecked(c, a_ub, b_ub)
+            c, a_ub, b_ub = self.arrays(random_program(seed))[:3]
+            public = lp.solve(LinearProgram(c, a_ub=a_ub, b_ub=b_ub))
+            unchecked = LinearProgram._unchecked(c, a_ub, b_ub)
             assert pickle.dumps(lp.solve(unchecked)) == pickle.dumps(public)
 
     def test_public_construction_copies(self):
@@ -485,11 +500,12 @@ def _price_by_rows(tab, basis, cost):
 
 class TestPrice:
     def test_equals_the_row_loop(self):
-        # on the crash basis and on the basis phase one ends at, with costs
+        # on the starting basis and on the basis phase one ends at, with costs
         # that are zero on some basic columns
         rng = np.random.default_rng(27)
         for seed in range(300):
-            tab, basis, _, n_struct = lp._build(random_program(seed))
+            p = random_program(seed)
+            tab, basis, _, n_struct = lp._build(p, lp._dual_start(p))
             if tab.shape[1] - 1 > n_struct and seed % 2:
                 lp._phase_one(tab, basis, n_struct)
             cost = rng.uniform(-2.0, 2.0, tab.shape[1]) * rng.integers(0, 2, tab.shape[1])
@@ -510,7 +526,7 @@ class TestPinnedPivotPaths:
 
     @pytest.mark.parametrize("size, kind, pinned", [
         (4, "random", (0, 269)),
-        (4, "divisible", (0, 342)),
+        (4, "divisible", (0, 343)),
         (6, "random", (0, 657)),
         (6, "divisible", (0, 990)),
     ])

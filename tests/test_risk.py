@@ -78,10 +78,10 @@ def _assert_matches_unscreened(L, e):
     """The verdicts equal the domination LP of every rule, and exactly the
     admissible rules have a prior: full support, and the rule is Bayes for it."""
     rep = complete_class_check(L, e)
-    K, sums = risk._rule_space(L, e)
+    K = risk._rule_space(L, e)
     obs = np.arange(len(e.target))
     rules = list(iter_product(range(len(L.actions)), repeat=len(obs)))
-    best_dominating = risk._dominating(K, sums)
+    best_dominating = risk._dominating(K)
     assert len(rep.rules) == len(rules)
     for g, r in zip(rules, rep.rules):
         g = np.asarray(g)
@@ -648,8 +648,8 @@ class TestCompleteClass:
         targets = []
         dominating = risk._dominating
 
-        def recording(K, sums):
-            best_dominating = dominating(K, sums)
+        def recording(K):
+            best_dominating = dominating(K)
             return lambda target: targets.append(target.copy()) or best_dominating(target)
 
         monkeypatch.setattr(risk, "_dominating", recording)
