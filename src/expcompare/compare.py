@@ -55,9 +55,8 @@ def directed_deficiency(e: Transition, e2: Transition, pi: Distribution) -> Defi
     Solved as an LP in the post-processing ``F`` and, per entry ``(i, j)``
     of ``e2``, deviations ``P_ij, Q_ij >= 0`` with
     ``pi_j ([F E]_ij - E2_ij) = P_ij - Q_ij``; the optimum of ``sum(P + Q)``
-    is the prior-weighted ``l1`` gap, reported halved to match the
-    ``V = 0.5 * l1`` convention.  Zero (up to tolerance) exactly when
-    ``e`` divides ``e2``.
+    is the prior-weighted ``l1`` gap, reported halved (``V = 0.5 * l1``).
+    Zero (up to tolerance) exactly when ``e`` divides ``e2``.
 
     The program starts at a feasible vertex: the deterministic
     post-processing ``k -> r[k]``, where ``r[k]`` is the outcome ``i``

@@ -10,22 +10,17 @@ construction copies, checks and freezes its arrays; the library's own
 programs skip that (``LinearProgram._unchecked``).  Feasibility is
 ``solve``'s status.
 
-A program takes one of two paths to a feasible basis.
+A program takes one of two paths to a feasible basis; the programs the
+library builds have only ``<=`` rows, and either path starts them at
+their slack basis.
 * *Dual start.*  A program with no equality rows, ``c >= 0`` and some
   ``b_ub < 0`` starts at its slack basis, which is then dual feasible
-  but not primal feasible.  A dual simplex (Lemke 1954) pivots it to
-  primal feasibility: the leaving row has the most negative right-hand
-  side, and the entering column the minimum ratio ``d_j / -a_rj`` over
-  ``a_rj < -PIVOT_TOL``.  A right-hand side ``>= -PIVOT_TOL`` counts as
-  feasible.  A row below that with no eligible entry proves the program
-  infeasible when it is below ``-FEAS_TOL``, the residual phase one
-  allows; above that it counts as feasible.
+  but not primal feasible.  A dual simplex (Lemke 1954, rules in
+  :func:`_dual_simplex`) pivots it to primal feasibility.
 * *Two phases.*  Every other program has its rows signed to nonnegative
   right-hand sides.  A ``<=`` row that was not negated starts at its
   slack; equality rows and negated rows get artificial columns, and a
   program with none skips phase one.
-Every program the library builds has only ``<=`` rows, so either path
-starts it at its slack basis.
 
 Then phase two runs a primal simplex from the feasible basis.  Its
 entering column is chosen by exact steepest edge: among the negative
@@ -112,14 +107,24 @@ class LinearProgram:
         n = c.shape[0]
         a_ub, b_ub = _block(self.a_ub, self.b_ub, n, "upper-bound block")
         a_eq, b_eq = _block(self.a_eq, self.b_eq, n, "equality block")
-        arrays = {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq}
-        for name, arr in arrays.items():
+        for name, arr in (
+            ("objective", c),
+            ("a_ub", a_ub),
+            ("b_ub", b_ub),
+            ("a_eq", a_eq),
+            ("b_eq", b_eq),
+        ):
             if not np.all(np.isfinite(arr)):
-                label = "objective" if name == "c" else name
-                raise ArgumentError(f"{label} contains NaN or infinite entries")
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+                raise ArgumentError(f"{name} contains NaN or infinite entries")
+        for name, val in (
+            ("c", c),
+            ("a_ub", a_ub),
+            ("b_ub", b_ub),
+            ("a_eq", a_eq),
+            ("b_eq", b_eq),
+        ):
+            val.setflags(write=False)
+            object.__setattr__(self, name, val)
 
     @classmethod
     def _unchecked(cls, c, a_ub, b_ub) -> LinearProgram:
@@ -298,13 +303,12 @@ def _build(p: LinearProgram, dual: bool) -> tuple[np.ndarray, np.ndarray, np.nda
 
     The tableau has ``m`` constraint rows, then the reduced-cost row, and
     the columns: the variables, one slack per ``<=`` row, the
-    artificials, and the right-hand side.  A dual start (``dual``) keeps
-    its rows as given, with ``c`` as its reduced costs.  Every other
-    program has its rows signed to nonnegative right-hand sides, and its
-    equality rows and negated rows start at artificial columns; every
-    other row starts at its slack.  Returns ``(tab, basis0, sign,
-    n_struct)``: the starting basis, the row signs and the number of
-    columns before the artificials.
+    artificials, and the right-hand side.  A dual start keeps its rows as
+    given, with ``c`` as its reduced costs.  Otherwise rows are signed to
+    nonnegative right-hand sides; equality and negated rows start at
+    artificials, the others at their slacks.  Returns ``(tab, basis0,
+    sign, n_struct)``: the starting basis, the row signs and the number
+    of columns before the artificials.
     """
     n, n_eq, n_ub = p.n_vars, p.b_eq.size, p.b_ub.size
     m = n_eq + n_ub

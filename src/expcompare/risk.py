@@ -104,7 +104,7 @@ def _check_pair(L: LossMatrix, e: Transition, d: Transition) -> None:
 def risk_profile(L: LossMatrix, e: Transition, d: Transition) -> RiskProfile:
     """Expected loss of the strategy ``d after e`` at every unknown."""
     _check_pair(L, e, d)
-    return RiskProfile(L.unknowns, np.einsum("tza,az->t", _rule_space(L, e), d.matrix))
+    return RiskProfile(L.unknowns, _rule_risk(_rule_space(L, e), d))
 
 
 def bayes_risk(L: LossMatrix, e: Transition, d: Transition, pi: Distribution) -> float:
@@ -216,10 +216,18 @@ def _rule_space(L: LossMatrix, e: Transition) -> np.ndarray:
 
     ``K[t, z, a]`` is the risk at unknown ``t`` per unit of ``d(a|z)``;
     reshaped to ``(|T|, |Z||A|)`` it is an LP block in column
-    ``z * |A| + a``, where the 0/1 row ``np.repeat(np.eye(|Z|), |A|,
-    axis=1)[z]`` adds up the entries of observation ``z``.
+    ``z * |A| + a``.
     """
     return np.einsum("zt,ta->tza", e.matrix, L.values)
+
+
+def _sum_rows(K: np.ndarray) -> np.ndarray:
+    """One 0/1 row per observation ``z``, adding up its entries ``d(.|z)`` in ``K``'s block."""
+    return np.repeat(np.eye(K.shape[1]), K.shape[2], axis=1)
+
+
+def _rule_risk(K: np.ndarray, d: Transition) -> np.ndarray:
+    return np.einsum("tza,az->t", K, d.matrix)
 
 
 def _rule_assignments(n_obs: int, n_actions: int, cap: int) -> np.ndarray:
@@ -249,8 +257,7 @@ def minimax_risk(L: LossMatrix, e: Transition) -> MinimaxResult:
     _check_source(L, e)
     K = _rule_space(L, e)
     n_t, n_z, n_a = K.shape
-    sums = np.repeat(np.eye(n_z), n_a, axis=1)
-    value, x, weights = _epigraph(K.reshape(n_t, n_z * n_a), sums, np.zeros(n_t))
+    value, x, weights = _epigraph(K.reshape(n_t, n_z * n_a), _sum_rows(K), np.zeros(n_t))
     rule = Transition(e.target, L.actions, x.reshape(n_z, n_a).T)
     # the basic level's column makes these sum to 1 up to pivot rounding
     prior_w = np.maximum(weights, 0.0)
@@ -304,14 +311,13 @@ def bias_variance(L: LossMatrix, e: Transition, d: Transition, theta: str) -> Bi
 def _dominating(K: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """The domination program of the rules ``K``, for any target profile.
 
-    ``K`` comes from :func:`_rule_space`.  The returned
-    ``best_dominating(target)`` minimizes the total risk over the rules
-    whose risk is at most ``target`` at every unknown, and returns the
-    total slack (the largest aggregate gain of a rule that weakly beats
-    the target profile everywhere) and the weights ``1 - dual_ub >= 1``
-    of the unknowns.  By LP duality, under these weights a rule with
-    profile ``target`` scores at most the slack above the Bayes actions,
-    summed over observations.
+    The returned ``best_dominating(target)`` (``K`` from :func:`_rule_space`)
+    minimizes the total risk over the rules whose risk is at most
+    ``target`` at every unknown, and returns the total slack (the largest
+    aggregate gain of a rule that weakly beats the target profile
+    everywhere) and the weights ``1 - dual_ub >= 1`` of the unknowns.  By
+    LP duality, under these weights a rule with profile ``target`` scores
+    at most the slack above the Bayes actions, summed over observations.
 
     Each observation's reference is the action with the lowest total risk
     (the Bayes rule for uniform weights), substituted as in
@@ -325,8 +331,8 @@ def _dominating(K: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray
     risk row is the solver's own.  Only the right-hand side depends on
     the target.
     """
-    n_t, n_z, n_a = K.shape
-    sums = np.repeat(np.eye(n_z), n_a, axis=1)
+    n_t = len(K)
+    sums = _sum_rows(K)
     ref, rest, tot, base, rows, sum_rows = _substitute_references(K.reshape(n_t, -1), sums)
     cost = (tot - tot[ref] @ sums)[rest]
     a_ub = np.vstack([rows, sum_rows])
@@ -350,7 +356,7 @@ def is_admissible(L: LossMatrix, e: Transition, d: Transition) -> bool:
     """
     _check_pair(L, e, d)
     K = _rule_space(L, e)
-    slack, _ = _dominating(K)(np.einsum("tza,az->t", K, d.matrix))
+    slack, _ = _dominating(K)(_rule_risk(K, d))
     return slack <= lp.FEAS_TOL
 
 
