@@ -29,7 +29,7 @@ import numpy as np
 from . import lp
 from ._samplers import blocks, size_masks, trial_count, uniform_loss
 from .core import Distribution, LabeledSet, Transition, _integer, compose, deterministic, uniform
-from .errors import ArgumentError, ShapeError, SolverError
+from .errors import ArgumentError, ShapeError
 from .risk import ENUMERATION_CAP, _bayes_values, _rule_assignments
 
 #: Divisibility / sufficiency threshold on deficiency values.
@@ -103,9 +103,8 @@ def directed_deficiency(e: Transition, e2: Transition, pi: Distribution) -> Defi
     a_ub = np.vstack([np.hstack([-np.eye(n_m), s_gap]), a_sum])
     c = np.concatenate([np.full(n_m, 2.0), -s_gap.sum(axis=0)])
     b_abs = np.abs(b_gap)
-    res = lp.solve(lp.LinearProgram._unchecked(c, a_ub, np.concatenate([b_abs, np.ones(n_o)])))
-    if not res.is_optimal:
-        raise SolverError(f"deficiency program did not solve: {res.status}")
+    program = lp.LinearProgram._unchecked(c, a_ub, np.concatenate([b_abs, np.ones(n_o)]))
+    res = lp.solve_optimal(program, "deficiency")
     d, x = res.primal[:n_m], res.primal[n_m:]
     f = np.zeros((n_o2, n_o))
     f[rows, obs] = x

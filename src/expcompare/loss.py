@@ -44,7 +44,7 @@ import numpy as np
 
 from . import lp
 from .core import Distribution, LabeledSet, UnnormalizedMeasure
-from .errors import ArgumentError, ShapeError, SolverError
+from .errors import ArgumentError, ShapeError
 
 #: Activity tolerance: actions within this of the minimum count as Bayes.
 ACTIVE_TOL = 1e-9
@@ -209,9 +209,8 @@ def _epigraph(
     c = np.zeros(n - k + 1)
     c[-1] = -1.0  # maximize s
     b_ub = np.concatenate([top - excess, np.ones(len(sum_rows))])
-    res = lp.solve(lp.LinearProgram._unchecked(c, a_ub, b_ub))
-    if not res.is_optimal:  # a bounded level over a nonempty polytope
-        raise SolverError(f"epigraph program did not solve: {res.status}")
+    # a bounded level over a nonempty polytope
+    res = lp.solve_optimal(lp.LinearProgram._unchecked(c, a_ub, b_ub), "epigraph")
     x = np.zeros(n)
     x[rest] = res.primal[:-1]
     x[ref] = 1.0 - sums @ x

@@ -10,37 +10,37 @@ construction copies, checks and freezes its arrays; the library's own
 programs skip that (``LinearProgram._unchecked``).  Feasibility is
 ``solve``'s status.
 
-A program takes one of two paths to a feasible basis; the programs the
-library builds have only ``<=`` rows, and either path starts them at
-their slack basis.
-* *Dual start.*  A program with no equality rows, ``c >= 0`` and some
-  ``b_ub < 0`` starts at its slack basis, which is then dual feasible
-  but not primal feasible.  A dual simplex (Lemke 1954, rules in
-  :func:`_dual_simplex`) pivots it to primal feasibility.
-* *Two phases.*  Every other program has its rows signed to nonnegative
-  right-hand sides.  A ``<=`` row that was not negated starts at its
-  slack; equality rows and negated rows get artificial columns, and a
-  program with none skips phase one.
+Every program takes one path to a feasible basis, the cost-modification
+dual phase one (Koberstein and Suhl, Comput. Optim. Appl. 37, 2007).
+The tableau has only ``<=`` rows: each equality row ``a x = b`` is the
+pair ``a x <= b`` and ``-a x <= -b``.  It starts at its slack basis,
+with the clipped costs ``max(c, 0)`` in the bottom row, for which that
+basis is dual feasible.  A dual simplex (Lemke 1954, rules in
+:func:`_dual_simplex`) pivots it to primal feasibility or proves the
+program infeasible; a program whose right-hand sides are nonnegative
+is feasible at the start and takes no pivot.  The programs the library
+builds have only ``<=`` rows, and either ``c >= 0``, so the clipped
+costs are the costs, or ``b_ub >= 0``, so phase one takes no pivot.
 
-Then phase two runs a primal simplex from the feasible basis.  Its
-entering column is chosen by exact steepest edge: among the negative
-reduced costs ``d_j``, the largest ``d_j**2 / (1 + ||tab[:m, j]||**2)``,
-read off the dense tableau; the leaving row is always Bland's.  After
-``DEGENERATE_STREAK`` degenerate pivots in a row either simplex falls
-back to Bland's rule until a pivot makes progress, so it cannot cycle.
-One pricing routine fills the reduced-cost row for both primal phases.
-Every rule breaks ties by index, so a given program always takes the
-same pivot path: re-solving an identical program yields a bit-for-bit
-identical result.  ``LPResult.pivots`` reports the pivots of each phase;
-the dual simplex's count as phase one.
+Then phase two prices the true costs and runs a primal simplex from
+the feasible basis.  Its entering column is chosen by exact steepest
+edge: among the negative reduced costs ``d_j``, the largest
+``d_j**2 / (1 + ||tab[:m, j]||**2)``, read off the dense tableau; the
+leaving row is always Bland's.  After ``DEGENERATE_STREAK`` degenerate
+pivots in a row either simplex falls back to Bland's rule until a pivot
+makes progress, so it cannot cycle.  Every rule breaks ties by index,
+so a given program always takes the same pivot path: re-solving an
+identical program yields a bit-for-bit identical result.
+``LPResult.pivots`` reports the pivots of each phase; the dual simplex
+is phase one.
 
-Duals are read off the final tableau.  Every row starts with a unit
-column (a slack or an artificial), whose reduced cost at the end is
-its cost minus the row's dual.  Sign convention for the
-minimization: duals of ``<=`` constraints are ``<= 0``, duals of
-equality constraints are free, and the dual objective
-``b_eq @ dual_eq + b_ub @ dual_ub`` equals the primal value at
-optimality.
+Duals are read off the final tableau.  Every row starts at its slack,
+whose reduced cost at the end is minus the row's dual; an equality
+row's dual is that of its ``a x <= b`` row minus that of its
+``-a x <= -b`` row.  Sign convention for the minimization: duals of
+``<=`` constraints are ``<= 0``, duals of equality constraints are
+free, and the dual objective ``b_eq @ dual_eq + b_ub @ dual_ub``
+equals the primal value at optimality.
 """
 
 from __future__ import annotations
@@ -145,9 +145,8 @@ class LPResult:
     ``value``, ``primal`` and the dual vectors are ``None`` unless the
     status is optimal.  ``dual_eq`` / ``dual_ub`` follow the constraint
     order of the program.  ``pivots`` counts the pivots of phase one
-    (the dual simplex of a dual start, or the artificial phase including
-    the pivots that drive leftover artificials out of the basis) and of
-    phase two; they depend only on the program, not the machine.
+    (the dual simplex from the slack basis) and of phase two; they
+    depend only on the program, not the machine.
     """
 
     status: str
@@ -169,17 +168,14 @@ def _pivot(tab: np.ndarray, r: int, c: int) -> None:
     tab -= factors[:, None] * tab[r]
 
 
-def _run_simplex(
-    phase: str, tab: np.ndarray, basis: np.ndarray, n_eligible: int
-) -> tuple[bool, int]:
+def _run_simplex(tab: np.ndarray, basis: np.ndarray) -> tuple[bool, int]:
     """Pivot ``tab`` to optimality in place; return ``(bounded, pivots)``.
 
     ``tab`` is an ``(m+1) x (n+1)`` dense tableau: ``m`` constraint rows,
     one reduced-cost row at the bottom, and the right-hand side in the
     last column.  ``basis`` holds the basic variable of each constraint
-    row.  Only columns ``< n_eligible`` may enter the basis (this is how
-    phase two excludes artificial columns).  A phase still not optimal
-    after the iteration limit raises ``SolverError``.
+    row.  Phase two still not optimal after the iteration limit raises
+    ``SolverError``.
     """
     m = tab.shape[0] - 1
     n = tab.shape[1] - 1
@@ -187,7 +183,7 @@ def _run_simplex(
     streak = 0
     max_iter = _max_iter(m, n)
     for it in range(max_iter + 1):
-        costs = tab[m, :n_eligible]
+        costs = tab[m, :n]
         neg = (costs < -PIVOT_TOL).nonzero()[0]
         if neg.size == 0:
             return True, it
@@ -218,7 +214,7 @@ def _run_simplex(
         streak = streak + 1 if best <= PIVOT_TOL else 0
         _pivot(tab, r, c)
         basis[r] = c
-    raise _iteration_limit(f"phase {phase}", max_iter, tab)
+    raise _iteration_limit("phase two", max_iter, tab)
 
 
 def _iteration_limit(what: str, max_iter: int, tab: np.ndarray) -> SolverError:
@@ -235,15 +231,14 @@ def _dual_simplex(tab: np.ndarray, basis: np.ndarray) -> tuple[bool, int]:
     costs ``d >= 0`` in the bottom row.  A row is infeasible while its
     right-hand side is below ``-PIVOT_TOL``.  An infeasible row with no
     entry ``a_rj < -PIVOT_TOL`` cannot be pivoted: below ``-FEAS_TOL`` it
-    proves the program infeasible, and above that it is feasible within
-    ``FEAS_TOL``, the residual phase one allows its artificials.  Among
-    the other infeasible rows the leaving row has the most negative
-    right-hand side, and the entering column the minimum ratio
-    ``d_j / -a_rj`` over ``a_rj < -PIVOT_TOL``, lowest index on ties, so
-    every ``d`` stays nonnegative.  After ``DEGENERATE_STREAK`` pivots of
-    ratio ``<= PIVOT_TOL`` in a row, the leaving row is the one whose
-    basic variable has the lowest index (Bland's dual rule) until a pivot
-    makes progress.
+    proves the program infeasible, and above that it is taken as
+    feasible within ``FEAS_TOL``.  Among the other infeasible rows the
+    leaving row has the most negative right-hand side, and the entering
+    column the minimum ratio ``d_j / -a_rj`` over ``a_rj < -PIVOT_TOL``,
+    lowest index on ties, so every ``d`` stays nonnegative.  After
+    ``DEGENERATE_STREAK`` pivots of ratio ``<= PIVOT_TOL`` in a row, the
+    leaving row is the one whose basic variable has the lowest index
+    (Bland's dual rule) until a pivot makes progress.
     """
     m = tab.shape[0] - 1
     n = tab.shape[1] - 1
@@ -289,66 +284,27 @@ def _price(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
     tab[-1] = np.subtract.reduce(np.vstack([cost, cb[rows, None] * tab[rows]]), axis=0)
 
 
-def _dual_start(p: LinearProgram) -> bool:
-    """Whether ``p`` takes the dual simplex from its slack basis.
+def _build(p: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """The simplex tableau of ``p`` at its slack basis, and that basis.
 
-    With no equality rows and ``c >= 0`` the slack basis is dual feasible;
-    it is primal infeasible exactly when some ``b_ub < 0``.
+    Every row is a ``<=`` row: each equality row ``a x = b`` becomes the
+    pair ``a x <= b`` and ``-a x <= -b``, placed before the ``<=`` rows.
+    The columns are the variables, one slack per row and the right-hand
+    side; the bottom row holds the clipped costs ``max(c, 0)``, for which
+    the slack basis is dual feasible.
     """
-    return p.b_eq.size == 0 and bool((p.c >= 0.0).all()) and bool((p.b_ub < 0.0).any())
-
-
-def _build(p: LinearProgram, dual: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The simplex tableau of ``p`` and its starting basis.
-
-    The tableau has ``m`` constraint rows, then the reduced-cost row, and
-    the columns: the variables, one slack per ``<=`` row, the
-    artificials, and the right-hand side.  A dual start keeps its rows as
-    given, with ``c`` as its reduced costs.  Otherwise rows are signed to
-    nonnegative right-hand sides; equality and negated rows start at
-    artificials, the others at their slacks.  Returns ``(tab, basis0,
-    sign, n_struct)``: the starting basis, the row signs and the number
-    of columns before the artificials.
-    """
-    n, n_eq, n_ub = p.n_vars, p.b_eq.size, p.b_ub.size
-    m = n_eq + n_ub
-    n_struct = n + n_ub
-    tab = np.zeros((m + 1, n_struct + 1))
+    n, n_eq = p.n_vars, p.b_eq.size
+    m = 2 * n_eq + p.b_ub.size
+    tab = np.zeros((m + 1, n + m + 1))
     tab[:n_eq, :n] = p.a_eq
-    tab[n_eq:m, :n] = p.a_ub
-    tab[np.arange(n_eq, m), np.arange(n, n_struct)] = 1.0
+    tab[n_eq:2 * n_eq, :n] = -p.a_eq
+    tab[2 * n_eq:m, :n] = p.a_ub
+    tab[np.arange(m), np.arange(n, n + m)] = 1.0
     tab[:n_eq, -1] = p.b_eq
-    tab[n_eq:m, -1] = p.b_ub
-    basis0 = np.arange(n - n_eq, n_struct)  # row n_eq + i at its slack n + i
-    if dual:
-        tab[m, :n] = p.c
-        return tab, basis0, np.ones(m), n_struct
-    flip = tab[:m, -1] < 0.0
-    sign = np.where(flip, -1.0, 1.0)
-    tab[:m][flip] *= -1.0
-    flip[:n_eq] = True  # equality rows and negated rows start at artificials
-    art_rows = flip.nonzero()[0]
-    if art_rows.size:
-        arts = np.zeros((m + 1, art_rows.size))
-        arts[art_rows, np.arange(art_rows.size)] = 1.0
-        tab = np.hstack([tab[:, :n_struct], arts, tab[:, n_struct:]])
-        basis0[art_rows] = np.arange(n_struct, n_struct + art_rows.size)
-    return tab, basis0, sign, n_struct
-
-
-def _phase_one(tab: np.ndarray, basis: np.ndarray, n_struct: int) -> int:
-    """Pivot phase one of a built tableau to its optimum; return its pivots."""
-    n_total = tab.shape[1] - 1
-    cost = np.zeros(n_total + 1)
-    cost[n_struct:n_total] = 1.0
-    _price(tab, basis, cost)
-    bounded, pivots = _run_simplex("one", tab, basis, n_total)
-    if not bounded:
-        raise SolverError(
-            f"phase one reported an unbounded objective "
-            f"({pivots} pivots on a {tab.shape[0]}x{n_total + 1} tableau)"
-        )
-    return pivots
+    tab[n_eq:2 * n_eq, -1] = -p.b_eq
+    tab[2 * n_eq:m, -1] = p.b_ub
+    tab[m, :n] = np.maximum(p.c, 0.0)
+    return tab, np.arange(n, n + m)
 
 
 def _max_iter(m: int, n: int) -> int:
@@ -360,33 +316,18 @@ def _max_iter(m: int, n: int) -> int:
 
 def solve(p: LinearProgram) -> LPResult:
     """Solve the program; status is optimal, infeasible or unbounded."""
-    dual = _dual_start(p)
-    tab, basis0, sign, n_struct = _build(p, dual)
+    tab, basis0 = _build(p)
     m, n_total = tab.shape[0] - 1, tab.shape[1] - 1
     basis = basis0.copy()
-    if dual:
-        feasible, pivots1 = _dual_simplex(tab, basis)
-        if not feasible:
-            return LPResult(status=INFEASIBLE, pivots=(pivots1, 0))
-    else:
-        pivots1 = _phase_one(tab, basis, n_struct) if n_total > n_struct else 0
-        if -tab[m, n_total] > FEAS_TOL:
-            return LPResult(status=INFEASIBLE, pivots=(pivots1, 0))
+    feasible, pivots1 = _dual_simplex(tab, basis)
+    if not feasible:
+        return LPResult(status=INFEASIBLE, pivots=(pivots1, 0))
 
-        # Drive leftover artificials out of the basis where possible; rows
-        # with no eligible pivot are redundant and keep a zero-level artificial.
-        for i in (basis >= n_struct).nonzero()[0]:
-            cands = (np.abs(tab[i, :n_struct]) > PIVOT_TOL).nonzero()[0]
-            if cands.size:
-                _pivot(tab, i, int(cands[0]))
-                basis[i] = cands[0]
-                pivots1 += 1
-
-    # Phase two: restore the real objective, keep artificials ineligible.
+    # Phase two: restore the true costs.
     cost = np.zeros(n_total + 1)
     cost[:p.n_vars] = p.c
     _price(tab, basis, cost)
-    bounded, pivots2 = _run_simplex("two", tab, basis, n_struct)
+    bounded, pivots2 = _run_simplex(tab, basis)
     pivots = (pivots1, pivots2)
     if not bounded:
         return LPResult(status=UNBOUNDED, pivots=pivots)
@@ -394,15 +335,32 @@ def solve(p: LinearProgram) -> LPResult:
     x = np.zeros(n_total)
     x[basis] = tab[:m, n_total]
     primal = x[:p.n_vars]
-    # Row i started with the unit column basis0[i]; its reduced cost is
-    # its cost minus the (signed) dual of row i.
-    y = (cost[basis0] - tab[m, basis0]) * sign
+    # Row i started at its slack basis0[i], which costs nothing; its
+    # reduced cost is minus the dual of row i.
+    y = cost[basis0] - tab[m, basis0]
     n_eq = p.b_eq.size
     return LPResult(
         status=OPTIMAL,
         value=float(p.c @ primal),
         primal=primal,
-        dual_eq=y[:n_eq],
-        dual_ub=y[n_eq:],
+        dual_eq=y[:n_eq] - y[n_eq:2 * n_eq],
+        dual_ub=y[2 * n_eq:],
         pivots=pivots,
     )
+
+
+def solve_optimal(p: LinearProgram, what: str) -> LPResult:
+    """Solve ``p``, which has an optimum by construction.
+
+    A program that does not solve raises ``SolverError`` naming the
+    ``what`` program, its status, its rows x variables and its pivots
+    per phase.
+    """
+    res = solve(p)
+    if not res.is_optimal:
+        raise SolverError(
+            f"{what} program did not solve: {res.status} "
+            f"({p.b_eq.size + p.b_ub.size} rows x {p.n_vars} variables, "
+            f"{res.pivots[0]} + {res.pivots[1]} pivots)"
+        )
+    return res

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lp
 from .core import EPS_TOL, Distribution, LabeledSet, Transition, _integer, deterministic
-from .errors import ArgumentError, ShapeError, SolverError
+from .errors import ArgumentError, ShapeError
 from .loss import LossMatrix, _epigraph, _substitute_references, psi, zero_sum_part
 
 #: Observations with marginal mass at most this are outside the support of
@@ -325,11 +325,10 @@ def _dominating(K: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray
     other entry is its column total minus its reference's, a float
     difference of ``a >= b`` and so exactly ``>= 0``: the slack basis is
     dual feasible and only the risk rows where ``target`` is below the
-    reference rule's profile are infeasible.  So the program has no
-    artificial column: ``lp`` takes its dual simplex when there is such a
-    row, and otherwise the start is already optimal.  The slack of each
-    risk row is the solver's own.  Only the right-hand side depends on
-    the target.
+    reference rule's profile are infeasible.  So ``lp``'s dual simplex
+    pivots only when there is such a row, and the basis it ends at is
+    optimal: phase two takes no pivot.  The slack of each risk row is
+    the solver's own.  Only the right-hand side depends on the target.
     """
     n_t = len(K)
     sums = _sum_rows(K)
@@ -340,9 +339,8 @@ def _dominating(K: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray
 
     def best_dominating(target: np.ndarray) -> tuple[float, np.ndarray]:
         room = target - base
-        res = lp.solve(lp.LinearProgram._unchecked(cost, a_ub, np.concatenate([room, ones])))
-        if not res.is_optimal:
-            raise SolverError(f"domination program did not solve: {res.status}")
+        program = lp.LinearProgram._unchecked(cost, a_ub, np.concatenate([room, ones]))
+        res = lp.solve_optimal(program, "domination")
         return float(room.sum() - res.value), 1.0 - res.dual_ub[:n_t]
 
     return best_dominating

@@ -78,29 +78,32 @@ def record_solves(monkeypatch) -> list:
     return seen
 
 
+def unsolvable(monkeypatch) -> None:
+    """Make every ``lp.solve`` report an infeasible program after 3 + 0 pivots."""
+    monkeypatch.setattr(lp, "solve", lambda p: lp.LPResult(status=lp.INFEASIBLE, pivots=(3, 0)))
+
+
 def assert_vertex_starts(seen) -> None:
-    """Each recorded program has no artificial column and no phase-one pivot."""
+    """Each recorded program has only ``<=`` rows with nonnegative
+    right-hand sides, so its slack basis is feasible: phase one takes no
+    pivot."""
     assert seen
     for p, res in seen:
-        tab, *_, n_struct = lp._build(p, lp._dual_start(p))
-        assert tab.shape[1] - 1 == n_struct  # no artificial column
+        assert p.b_eq.size == 0 and (p.b_ub >= 0.0).all()
         assert res.is_optimal and res.pivots[0] == 0
 
 
 def assert_dual_starts(seen) -> int:
-    """Each recorded program starts dual feasible at its slack basis, with
-    no artificial column, and phase two takes no pivot; return how many
-    took the dual simplex.  The others have no negative right-hand side,
-    so their slack basis is already optimal."""
+    """Each recorded program has only ``<=`` rows and ``c >= 0``, so its
+    slack basis is dual feasible, and phase two takes no pivot; return how
+    many have a negative right-hand side and so take the dual simplex.
+    The others' slack basis is already optimal."""
     assert seen
     for p, res in seen:
-        tab, *_, n_struct = lp._build(p, lp._dual_start(p))
-        assert tab.shape[1] - 1 == n_struct  # no artificial column
         assert p.b_eq.size == 0 and (p.c >= 0.0).all()
-        assert lp._dual_start(p) == (p.b_ub < 0.0).any()
         assert res.is_optimal and res.pivots[1] == 0
-        assert lp._dual_start(p) or res.pivots == (0, 0)
-    return sum(lp._dual_start(p) for p, _ in seen)
+        assert (p.b_ub < 0.0).any() or res.pivots == (0, 0)
+    return sum(bool((p.b_ub < 0.0).any()) for p, _ in seen)
 
 
 def primal_support_program(L: LossMatrix, v) -> LinearProgram:
@@ -127,6 +130,18 @@ def primal_support_gap(L: LossMatrix, v) -> float:
     res = lp.solve(primal_support_program(L, v))
     assert res.is_optimal, res.status
     return res.value
+
+
+def highs(p: LinearProgram):
+    """scipy's HiGHS on ``p``, as ``linprog``'s result.  Needs scipy."""
+    from scipy.optimize import linprog
+
+    kw = {}
+    if p.a_ub.shape[0]:
+        kw.update(A_ub=p.a_ub, b_ub=p.b_ub)
+    if p.a_eq.shape[0]:
+        kw.update(A_eq=p.a_eq, b_eq=p.b_eq)
+    return linprog(p.c, bounds=(0, None), method="highs", **kw)
 
 
 def highs_support_gap(L: LossMatrix, v) -> float:

@@ -10,6 +10,7 @@ from helpers import (
     random_loss,
     random_markov,
     record_solves,
+    unsolvable,
 )
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from expcompare import (
     Distribution,
     LabeledSet,
     LossMatrix,
+    SolverError,
     Transition,
     binary_symmetric,
     compose,
@@ -96,6 +98,14 @@ class TestDirectedDeficiency:
             for q in grid
         )
         assert res.value == pytest.approx(oracle, abs=1e-2)
+
+    def test_solver_error_names_the_program(self, monkeypatch):
+        unsolvable(monkeypatch)
+        with pytest.raises(SolverError) as info:
+            directed_deficiency(terminal(THETA), identity(THETA), UNIF)
+        assert str(info.value) == (
+            "deficiency program did not solve: infeasible (5 rows x 5 variables, 3 + 0 pivots)"
+        )
 
     def test_identity_divides_everything(self):
         rng = np.random.default_rng(71)
@@ -509,7 +519,7 @@ class TestFeasibleStart:
     """The deficiency LP starts at the vertex ``k -> r[k]``: phase one is empty."""
 
     @pytest.mark.parametrize("e, e2", FEASIBLE_START_PAIRS.values(), ids=FEASIBLE_START_PAIRS)
-    def test_no_artificial_column_and_no_phase_one_pivot(self, e, e2):
+    def test_feasible_slack_basis_and_no_phase_one_pivot(self, e, e2):
         pi = random_distribution(np.random.default_rng(81), e.source)
         res, program, result = _recorded_deficiency(e, e2, pi)
         assert_vertex_starts([(program, result)])

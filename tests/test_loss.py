@@ -12,6 +12,7 @@ from helpers import (
     random_loss,
     random_markov,
     record_solves,
+    unsolvable,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from expcompare import (
     LabeledSet,
     LossMatrix,
     ShapeError,
+    SolverError,
     UnnormalizedMeasure,
     action_coordinate,
     bayes_actions,
@@ -242,6 +244,15 @@ def _random_support_case(rng):
 
 
 class TestSupportGap:
+    def test_solver_error_names_the_program(self, monkeypatch):
+        unsolvable(monkeypatch)
+        L = LossMatrix(labeled("t", 2), labeled("a", 3), [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]])
+        with pytest.raises(SolverError) as info:
+            support_gap(L, [0.5, 0.5])
+        assert str(info.value) == (
+            "epigraph program did not solve: infeasible (3 rows x 3 variables, 3 + 0 pivots)"
+        )
+
     def test_gap_matches_the_primal_program(self):
         rng = np.random.default_rng(43)
         for _ in range(300):
@@ -345,7 +356,7 @@ class TestEpigraphVertexStart:
         assert res.least_favorable_prior.weights.tolist() == [0.0, 1.0, 0.0]
         assert_vertex_starts(seen)
         (p, _), = seen
-        tab = lp._build(p, lp._dual_start(p))[0]
+        tab = lp._build(p)[0]
         assert tab.shape == (3 + 1, 1 + 3 + 1)  # rows: |T| and costs
 
     def test_minimax_with_tied_integer_losses(self, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import (
     assert_dual_starts,
+    highs,
     labeled,
     random_distribution,
     random_dual_program,
@@ -70,7 +71,7 @@ class TestExamples:
         np.testing.assert_allclose(res.primal, [2.0, 0.0], atol=1e-12)
 
     def test_redundant_equality_rows(self):
-        # a duplicated row leaves a zero-level artificial in the basis
+        # duplicated rows: the duals are not unique
         p = LinearProgram(
             [1.0, 2.0],
             a_eq=[[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
@@ -79,9 +80,10 @@ class TestExamples:
         res = lp.solve(p)
         assert res.status == lp.OPTIMAL
         assert res.value == pytest.approx(1.0, abs=1e-12)
-        # rows whose artificial stays basic get a zero dual
+        # the dual simplex leaves on the most negative row, -2 x0 - 2 x1
+        # <= -2 of the third equality, so only that row's pair has a dual
         _assert_kkt(p, res)
-        np.testing.assert_allclose(res.dual_eq, [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(res.dual_eq, [0.0, 0.0, 0.5], atol=1e-12)
 
     def test_inputs_are_not_frozen(self):
         c = np.array([1.0, -1.0])
@@ -99,24 +101,43 @@ class TestFeasible:
     def test_simplex_nonempty(self):
         assert solve([0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]).status != lp.INFEASIBLE
 
+    @staticmethod
+    def highs_status(p):
+        """The status of ``p`` by HiGHS.  Its "infeasible" can mean
+        "infeasible or unbounded": with a point that a zero-cost solve
+        finds, it is read as unbounded."""
+        pytest.importorskip("scipy")
+        status = highs(p).status
+        if status == 2:
+            zero_cost = LinearProgram(0.0 * p.c, p.a_ub, p.b_ub, p.a_eq, p.b_eq)
+            status = 3 if highs(zero_cost).status == 0 else 2
+        return {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[status]
+
     def test_agrees_with_solve(self):
-        # phase one alone decides feasibility on the built tableau: the
-        # dual simplex of a dual start, else the artificials' residual,
-        # and a program without artificials is feasible unpivoted
-        programs = [random_program(seed) for seed in range(1000)]
-        programs += [random_dual_program(seed) for seed in range(300)]
-        dual = 0
-        for p in programs:
-            tab, basis0, _, n_struct = lp._build(p, lp._dual_start(p))
-            if lp._dual_start(p):
-                ok, _ = lp._dual_simplex(tab, basis0)
-                dual += 1
-            else:
-                if tab.shape[1] - 1 > n_struct:
-                    lp._phase_one(tab, basis0, n_struct)
-                ok = -tab[-1, -1] <= lp.FEAS_TOL
-            assert ok == (lp.solve(p).status != lp.INFEASIBLE)
-        assert dual == 19 + 300
+        # HiGHS's feasibility verdict agrees with solve's, which the dual
+        # simplex from the slack basis decides; statuses and pivots per
+        # phase are tallied over each generator's seeds
+        for generate, n, pinned, pivots in [
+            (random_program, 1000, (577, 258, 165), (1875, 1021)),
+            (random_dual_program, 300, (223, 77, 0), (400, 0)),
+        ]:
+            seen = []
+            for seed in range(n):
+                p = generate(seed)
+                seen.append((p, lp.solve(p)))
+                assert seen[-1][1].status == self.highs_status(p), seed
+            statuses = [res.status for _, res in seen]
+            counts = tuple(statuses.count(s) for s in (lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED))
+            assert counts == pinned and _phase_totals(seen) == pivots
+
+    def test_highs_infeasible_or_unbounded(self):
+        # the one such seed of 0..4999: x = 0 is feasible and the ray
+        # (1, 1, 0) costs -3, so solve's "unbounded" is right
+        p = random_program(4976)
+        assert lp.solve(p).status == lp.UNBOUNDED == self.highs_status(p)
+        ray = np.array([1.0, 1.0, 0.0])
+        assert p.b_eq.size == 0 and (p.b_ub >= 0.0).all()
+        assert (p.a_ub @ ray <= 0.0).all() and p.c @ ray == -3.0
 
 
 class TestValidation:
@@ -315,10 +336,11 @@ class TestPivotRule:
         assert solve([-1.0], a_ub=[[2.0]], b_ub=[1.0]).pivots == (0, 1)
         # x is a unit column, but the row starts at its slack: one pivot
         assert solve([-1.0], a_ub=[[1.0]], b_ub=[1.0]).pivots == (0, 1)
-        # no unit column: phase one enters x1 (reduced cost -3), then
-        # phase two trades it for the cheaper x0
+        # the row pair of 2 x0 + 3 x1 = 1: the dual simplex enters x0 in
+        # the row -2 x0 - 3 x1 <= -1 (ratio 1/2 against 2/3), and that
+        # basis is optimal
         res = solve([1.0, 2.0], a_eq=[[2.0, 3.0]], b_eq=[1.0])
-        assert res.pivots == (1, 1)
+        assert res.pivots == (1, 0)
         np.testing.assert_allclose(res.primal, [0.5, 0.0], atol=1e-12)
         infeasible = solve([0.0], a_ub=[[1.0]], b_ub=[-1.0])
         assert infeasible.status == lp.INFEASIBLE and infeasible.pivots == (0, 0)
@@ -337,28 +359,37 @@ class TestPivotRule:
 
 
 class TestDualSimplex:
-    """Programs with only ``<=`` rows, ``c >= 0`` and some ``b_ub < 0``."""
+    """Programs with only ``<=`` rows, ``c >= 0`` and some ``b_ub < 0``,
+    whose slack basis is dual feasible for their own costs."""
 
     #: x0 + x1 >= 1 and x1 >= 2: the most negative row (x1 >= 2) leaves
     #: first and one pivot solves it
     COVER = LinearProgram([1.0, 1.0], a_ub=[[-1.0, -1.0], [0.0, -1.0]], b_ub=[-1.0, -2.0])
 
     def test_starts_at_the_slack_basis_unsigned(self):
-        tab, basis0, sign, n_struct = lp._build(self.COVER, True)
-        assert list(basis0) == [2, 3] and tab.shape[1] - 1 == n_struct
-        assert list(sign) == [1.0, 1.0] and list(tab[:2, -1]) == [-1.0, -2.0]
+        tab, basis0 = lp._build(self.COVER)
+        assert list(basis0) == [2, 3] and tab.shape == (3, 5)
+        assert list(tab[:2, -1]) == [-1.0, -2.0]
         assert list(tab[-1, :-1]) == [1.0, 1.0, 0.0, 0.0]  # c: the slacks cost nothing
 
     def test_only_programs_with_a_dual_feasible_slack_basis(self):
-        assert lp._dual_start(self.COVER)
-        for c, kw in [
-            ([-1.0, 1.0], {}),  # a negative cost
-            ([1.0, 1.0], {"a_eq": [[1.0, 1.0]], "b_eq": [3.0]}),  # an equality row
-        ]:
-            p = LinearProgram(c, a_ub=self.COVER.a_ub, b_ub=self.COVER.b_ub, **kw)
-            assert not lp._dual_start(p)
+        # start with their own costs; a negative cost is clipped to 0, and
+        # an equality row is the pair of rows a x <= b, -a x <= -b before
+        # the <= rows
+        tab, basis0 = lp._build(LinearProgram([-1.0, 1.0], a_ub=self.COVER.a_ub,
+                                              b_ub=self.COVER.b_ub))
+        assert list(tab[-1, :-1]) == [0.0, 1.0, 0.0, 0.0]
+        p = LinearProgram([1.0, 1.0], a_ub=self.COVER.a_ub, b_ub=self.COVER.b_ub,
+                          a_eq=[[1.0, 1.0]], b_eq=[3.0])
+        tab, basis0 = lp._build(p)
+        assert list(basis0) == [2, 3, 4, 5]
+        assert tab[:4, :2].tolist() == [[1.0, 1.0], [-1.0, -1.0], [-1.0, -1.0], [0.0, -1.0]]
+        assert list(tab[:4, -1]) == [3.0, -3.0, -1.0, -2.0]
+        res = lp.solve(p)
+        assert res.pivots == (2, 0) and res.value == 3.0
+        _assert_kkt(p, res)
         # no negative right-hand side: the slack basis is already optimal
-        assert not lp._dual_start(LinearProgram([1.0], a_ub=[[-1.0]], b_ub=[1.0]))
+        assert lp.solve(LinearProgram([1.0], a_ub=[[-1.0]], b_ub=[1.0])).pivots == (0, 0)
 
     def test_cover(self):
         res = lp.solve(self.COVER)
@@ -387,8 +418,8 @@ class TestDualSimplex:
         (2.0 * lp.FEAS_TOL, lp.INFEASIBLE),
     ])
     def test_feasibility_tolerance(self, gap, status):
-        # x0 <= -gap: phase one of the two-phase path allows the same
-        # residual FEAS_TOL
+        # x0 <= -gap: the row has no negative entry, so no pivot can fix
+        # it, and it is infeasible only by more than FEAS_TOL
         res = solve([1.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, -1.0]], b_ub=[-gap, 1.0])
         assert res.status == status and res.pivots == (0, 0)
 
@@ -412,24 +443,26 @@ class TestDualSimplex:
 class TestSlackStart:
     @staticmethod
     def start(p):
-        """Starting basis and artificial count of the built tableau."""
-        tab, basis0, _, n_struct = lp._build(p, lp._dual_start(p))
-        return list(basis0), tab.shape[1] - 1 - n_struct
+        """Starting basis and tableau width of the built tableau."""
+        tab, basis0 = lp._build(p)
+        return list(basis0), tab.shape[1]
 
     def test_nonnegative_rows_start_at_their_slacks(self):
         p = LinearProgram([-1.0, -1.0], a_ub=[[1.0, 0.0], [1.0, 2.0]], b_ub=[1.0, 0.0])
-        assert self.start(p) == ([2, 3], 0)  # no artificial column
+        assert self.start(p) == ([2, 3], 5)  # the variables, the slacks, b
         assert lp.solve(p).pivots[0] == 0
 
-    def test_equality_and_negated_rows_get_artificials(self):
-        # the equality row and the negated <= row get the artificials 5
-        # and 6, in row order, though column 2 is a unit column of row 0
+    def test_equality_and_negated_rows_start_at_slacks(self):
+        # the equality row's pair and the two <= rows start at the slacks
+        # 3 to 6, in row order, though column 2 is a unit column of row 0;
+        # the dual simplex fixes the rows -x2 <= -0.5 and -2 x0 - x1 <= -1
         p = LinearProgram([1.0, 1.0, 1.0], a_eq=[[0.0, 0.0, 1.0]], b_eq=[0.5],
                           a_ub=[[-2.0, -1.0, 0.0], [1.0, 1.0, 0.0]], b_ub=[-1.0, 3.0])
-        assert self.start(p) == ([5, 6, 4], 2)
+        assert self.start(p) == ([3, 4, 5, 6], 8)
         res = lp.solve(p)
-        assert res.is_optimal and res.pivots[0] > 0
+        assert res.is_optimal and res.pivots == (2, 0)
         assert res.value == pytest.approx(1.0, abs=1e-12)
+        _assert_kkt(p, res)
 
     def test_library_programs_have_only_slack_starts(self, monkeypatch):
         # every program that compare, loss and risk build: deficiency on
@@ -449,12 +482,13 @@ class TestSlackStart:
             minimax_risk(L, e)
             is_admissible(L, e, rule_from_assignment(z, L.actions, rng.integers(3, size=4)))
             complete_class_check(L, e)
+        # each has only <= rows and either c >= 0, so the clipped costs
+        # are its costs, or b >= 0, so the dual simplex takes no pivot
         assert len(seen) > 30
         for p, res in seen:
-            tab, basis0, _, n_struct = lp._build(p, lp._dual_start(p))
-            assert p.b_eq.size == 0 and tab.shape[1] - 1 == n_struct
-            assert list(basis0) == list(range(p.n_vars, n_struct))
-            assert res.is_optimal
+            assert p.b_eq.size == 0 and res.is_optimal
+            if (p.c < 0.0).any():
+                assert (p.b_ub >= 0.0).all() and res.pivots[0] == 0
 
 
 class TestUncheckedPrograms:
@@ -500,14 +534,14 @@ def _price_by_rows(tab, basis, cost):
 
 class TestPrice:
     def test_equals_the_row_loop(self):
-        # on the starting basis and on the basis phase one ends at, with costs
-        # that are zero on some basic columns
+        # on the starting basis and on the basis the dual simplex ends at,
+        # with costs that are zero on some basic columns
         rng = np.random.default_rng(27)
         for seed in range(300):
             p = random_program(seed)
-            tab, basis, _, n_struct = lp._build(p, lp._dual_start(p))
-            if tab.shape[1] - 1 > n_struct and seed % 2:
-                lp._phase_one(tab, basis, n_struct)
+            tab, basis = lp._build(p)
+            if seed % 2:
+                lp._dual_simplex(tab, basis)
             cost = rng.uniform(-2.0, 2.0, tab.shape[1]) * rng.integers(0, 2, tab.shape[1])
             ref = tab.copy()
             _price_by_rows(ref, basis, cost)

@@ -16,6 +16,7 @@ from helpers import (
     random_randomized_setup,
     record_solves,
     rule_from_assignment,
+    unsolvable,
 )
 
 from expcompare import (
@@ -23,6 +24,7 @@ from expcompare import (
     Distribution,
     LabeledSet,
     LossMatrix,
+    SolverError,
     Transition,
     bayes_risk,
     bias_variance,
@@ -487,6 +489,15 @@ class TestAdmissibility:
     def test_anti_bayes_rule_is_dominated(self):
         anti = Transition(THETA, THETA, [[0.0, 1.0], [1.0, 0.0]])
         assert not is_admissible(L01, BSC01, anti)
+
+    def test_solver_error_names_the_program(self, monkeypatch):
+        unsolvable(monkeypatch)
+        anti = Transition(THETA, THETA, [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(SolverError) as info:
+            is_admissible(L01, BSC01, anti)
+        assert str(info.value) == (
+            "domination program did not solve: infeasible (4 rows x 2 variables, 3 + 0 pivots)"
+        )
 
     def test_bayes_rules_of_large_instances(self):
         # |T|=8, |Z|=32, |A|=16: degenerate domination LPs that once
